@@ -19,9 +19,11 @@
 //	a2asched slice -name torus -nodes 64 -ppn 32 -rank 0 -world
 //
 // slice compiles a single rank's program (sched.GenerateRank) without
-// materializing the whole world — the large-world form the runtime uses
-// past the slicing threshold. It is locally verified; -world additionally
-// streams every rank's slice through the incremental cross-rank verifier.
+// materializing the whole world — the form the runtime runs. It is
+// locally verified; -world additionally proves the world with
+// sched.VerifyWorld, the gate core and the schedule service apply: the
+// full proof on the assembled world up to sched.FullVerifyRanks ranks,
+// the streamed cross-rank verifier above.
 //
 // fetch resolves a rank program through the schedule service instead of
 // compiling locally:
@@ -90,7 +92,7 @@ commands:
   gen    -name G -ranks N   generate + verify a schedule (JSON to -o or stdout)
          [-nodes N -ppn P]  give the generator a topology (torus grid); implies -ranks
   slice  -name G -ranks N   compile + verify ONE rank's program (rank-sliced, O(slice)
-         -rank R [-world]   memory; -world also streams the cross-rank verification)
+         -rank R [-world]   memory; -world also verifies the whole world)
   fetch  -name G -ranks N   resolve one rank's program through the schedule service
          -rank R            (-daemon ADDR or -root DIR), re-verify locally, emit JSON
   verify <file>             statically verify a schedule artifact
@@ -272,7 +274,7 @@ func runSlice(args []string) error {
 		nodes = fs.Int("nodes", 0, "node count (with -ppn: shapes topology-aware generators)")
 		ppn   = fs.Int("ppn", 0, "ranks per node")
 		rank  = fs.Int("rank", 0, "the rank whose program to compile")
-		world = fs.Bool("world", false, "also stream every rank's slice through the cross-rank verifier (O(p) memory, O(schedule) time)")
+		world = fs.Bool("world", false, "also verify the whole world: full proof up to sched.FullVerifyRanks ranks, streamed above (O(p) memory)")
 		out   = fs.String("o", "", "write the rank program JSON to this path (default stdout)")
 	)
 	fs.Parse(args)
@@ -288,10 +290,14 @@ func runSlice(args []string) error {
 		return fmt.Errorf("generated slice fails local verification (a generator bug): %w", err)
 	}
 	if *world {
-		if err := sched.VerifyWorldSliced(*name, p, m); err != nil {
-			return fmt.Errorf("streamed world verification FAILED: %w", err)
+		if err := sched.VerifyWorld(*name, p, m); err != nil {
+			return fmt.Errorf("world verification FAILED: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "world OK — %q at %d ranks: per-round send/recv multisets match, every rank's blocks delivered exactly once\n", rp.Name, p)
+		how := "assembled from every rank's program and fully verified, content proof included"
+		if p > sched.FullVerifyRanks {
+			how = "streamed slice by slice: per-round send/recv multisets match, every rank's blocks delivered exactly once"
+		}
+		fmt.Fprintf(os.Stderr, "world OK — %q at %d ranks, %s\n", rp.Name, p, how)
 	}
 	if *out == "" {
 		return rp.Encode(os.Stdout)

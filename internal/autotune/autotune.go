@@ -47,14 +47,12 @@ type Choice struct {
 }
 
 // schedMaxRanks caps the world size at which schedule-backed candidates
-// join the default pool. Rank-sliced compilation (sched.GenerateRank via
-// core's sliced construction path) builds each rank's program in
-// O(slice), so the old 128-rank ceiling — a relic of compiling and
-// verifying the assembled O(p^2) schedule on every rank — is gone; the
-// remaining bound is the simulator's cost of actually *executing* a
-// candidate during the sweep. Torus and hypercube stay affordable to
-// 1024 ranks and beyond; beyond the cap they remain constructible by
-// name.
+// join the default pool. Construction compiles only each rank's program
+// (sched.GenerateRank) and proves the world once per process
+// (sched.VerifyWorld), so compilation sets no ceiling; the bound is the
+// simulator's cost of actually *executing* a candidate during the sweep.
+// Torus and hypercube stay affordable to 1024 ranks and beyond; beyond
+// the cap they remain constructible by name.
 const schedMaxRanks = 1024
 
 // ringMaxRanks separately caps the ring schedule: every block rides
@@ -62,11 +60,6 @@ const schedMaxRanks = 1024
 // — at 1024 ranks that is ~10^9 staged copies per sweep point, which
 // would dwarf the rest of the sweep combined.
 const ringMaxRanks = 256
-
-// vSchedMaxRanks mirrors core's ceiling for the schedule-backed
-// alltoallv, which compiles the assembled O(p^2) schedule per count
-// matrix and is rejected at construction above it.
-const vSchedMaxRanks = 128
 
 // DefaultCandidates returns the tuning pool for an operation at a
 // nodes x ppn world, restricted to divisors of ppn. For OpAlltoall it is
@@ -94,10 +87,10 @@ func DefaultCandidates(op core.Op, nodes, ppn int) []Candidate {
 				)
 			}
 		}
-		// The schedule-backed alltoallv compiles and verifies the
-		// assembled schedule per count matrix, so it joins the pool only
-		// up to its own whole-world ceiling (vSchedMaxRanks in core).
-		if p := nodes * ppn; p > 1 && p <= vSchedMaxRanks {
+		// The schedule-backed alltoallv is rejected at construction
+		// above core's count-matrix ceiling, so it joins the pool only
+		// up to it.
+		if p := nodes * ppn; p > 1 && p <= core.VSchedMaxRanks {
 			cands = append(cands, Candidate{Name: "sched:pairwise", Algo: "sched:pairwise"})
 		}
 		return cands

@@ -63,7 +63,7 @@ func TestDefaultCandidates(t *testing.T) {
 	}
 	// Above the whole-world compile ceiling the v-schedule drops out.
 	if big := DefaultCandidates(core.OpAlltoallv, 8, 32); has(big, "sched:pairwise") {
-		t.Errorf("256-rank alltoallv pool contains sched:pairwise beyond vSchedMaxRanks")
+		t.Errorf("256-rank alltoallv pool contains sched:pairwise beyond core.VSchedMaxRanks")
 	}
 }
 

@@ -13,19 +13,16 @@ import (
 )
 
 // This file registers every schedule generator of internal/sched as a
-// first-class algorithm named "sched:<generator>". Construction compiles
-// the schedule for the communicator's world, statically verifies it — an
-// unverifiable schedule never runs — and wraps the executor in the same
+// first-class algorithm named "sched:<generator>". Construction proves
+// the communicator's world sound with sched.VerifyWorld — once per world
+// per process; an unverifiable schedule never runs — then compiles only
+// this rank's sched.RankProgram and wraps its executor in the same
 // persistent-operation shell as every other algorithm, so
 // Start/Test/Wait handles, tuned dispatch, autotune sweeps, the bench
 // harness and the trace phase breakdown all work on schedules with zero
-// special-casing.
-//
-// Worlds of at most schedSliceRanks ranks compile and verify the
-// assembled schedule (the authoritative full symbolic proof). Larger
-// worlds use rank-sliced compilation: each rank builds only its own
-// sched.RankProgram — O(slice), never O(p^2) — verified locally per
-// slice plus once per world by the streaming cross-rank verifier.
+// special-casing. VerifyWorld decides how the world is proved (the full
+// symbolic proof on the assembled world up to sched.FullVerifyRanks,
+// streamed above); this file caches only rank programs, at every size.
 //
 // Construction consults, in order: the in-process LRU cache, the
 // schedule service (when a fetcher is installed via SetSchedFetcher),
@@ -38,22 +35,12 @@ import (
 // SchedPrefix is the registry namespace of schedule-backed algorithms.
 const SchedPrefix = "sched:"
 
-// schedSliceRanks is the whole-world ceiling: above it, construction
-// switches to rank-sliced compilation and streaming verification. Two
-// costs pin it at the old 128-rank candidate cap: the full verifier's
-// symbolic state is O(p · slots) — O(p^3) slots for the route schedules —
-// and the assembled schedule must fit the bounded cache below, or every
-// rank's construction would miss and recompile the whole world (the ring
-// schedule at 256 ranks is already ~800 MB of steps).
-const schedSliceRanks = 128
-
 // Test seams for the compilation entry points, so tests can count
 // generator invocations (proving the negative cache and singleflight
 // actually prevent runs) without touching the generators themselves.
 var (
-	schedGenerate          = sched.Generate
-	schedGenerateRank      = sched.GenerateRank
-	schedVerifyWorldSliced = sched.VerifyWorldSliced
+	schedGenerateRank = sched.GenerateRank
+	schedVerifyWorld  = sched.VerifyWorld
 )
 
 // SchedFetcher is the schedule-service hook: it resolves a
@@ -75,10 +62,8 @@ var schedFetcherHook struct {
 }
 
 // SetSchedFetcher installs (or, with nil, removes) the schedule-service
-// fetcher. While a fetcher is installed, schedule-backed algorithms
-// construct through the rank-sliced path at every world size, since the
-// service serves rank programs. Install once at process startup (cmd
-// wiring), before constructions begin.
+// fetcher. Install once at process startup (cmd wiring), before
+// constructions begin.
 func SetSchedFetcher(f SchedFetcher) {
 	schedFetcherHook.Lock()
 	schedFetcherHook.f = f
@@ -91,9 +76,8 @@ func schedFetcher() SchedFetcher {
 	return schedFetcherHook.f
 }
 
-// schedState is the persistent form of a schedule-backed algorithm: the
-// verified schedule (or this rank's slice of it) plus its executor's
-// cached scratch buffers.
+// schedState is the persistent form of a schedule-backed algorithm: this
+// rank's verified program plus its executor's cached scratch buffers.
 type schedState struct {
 	*basic
 	ex *sched.Exec
@@ -103,26 +87,21 @@ func (st *schedState) run(c comm.Comm, send, recv comm.Buffer, block int) error 
 	return st.ex.Run(c, send, recv, block, st.basic.rec)
 }
 
-// Schedule exposes the compiled whole-world schedule for inspection
-// (cmd/a2asched and tests); it is reachable through a type assertion:
-//
-//	s := a.(interface{ Schedule() *sched.Schedule }).Schedule()
-//
-// Above the slicing threshold no assembled schedule exists and Schedule
-// returns nil; Program always reflects what this rank runs.
-func (st *schedState) Schedule() *sched.Schedule { return st.ex.Schedule() }
+// Schedule returns nil: construction keeps no assembled schedule. It
+// stays for inspectors that assert on both methods and fall back to
+// Program.
+func (st *schedState) Schedule() *sched.Schedule { return nil }
 
-// Program exposes this rank's compiled program (the slice executed on the
-// large-world path, or the lazy slice of the whole-world schedule).
+// Program exposes this rank's compiled program for inspection; it is
+// reachable through a type assertion:
+//
+//	rp := a.(interface{ Program() *sched.RankProgram }).Program()
 func (st *schedState) Program() *sched.RankProgram { return st.ex.Program() }
 
-// schedCache shares compiled-and-verified schedule artifacts across the
-// ranks and operations of a process: whole-world schedules below the
-// slicing threshold (generators are deterministic and schedules immutable
-// after verification, so sharing is safe — without it every rank of an
-// SPMD program would compile its own copy, turning an O(p^2) construction
-// into O(p^3) across ranks) and per-rank programs above it. Retained
-// bytes are capped: entries are evicted least-recently-used, so an
+// schedCache shares compiled-and-verified rank programs across the
+// operations of a process (generators are deterministic and programs
+// immutable after verification, so sharing is safe). Retained bytes are
+// capped: entries are evicted least-recently-used, so an
 // autotune sweep over many world shapes no longer accretes every
 // schedule it ever compiled. Eviction only bounds reuse, not
 // correctness — live executors keep their own references.
@@ -147,17 +126,13 @@ type schedCacheT struct {
 type schedCacheEntry struct {
 	key   string
 	bytes int64
-	s     *sched.Schedule
 	rp    *sched.RankProgram
 }
 
-// schedCacheDefaultLimit bounds retained schedule bytes per process.
-// Rank slices are small (O(blocks through the rank)), so this holds
-// thousands of them, and schedSliceRanks is chosen so the largest
-// whole-world schedule the full path can compile (ring at the threshold,
-// ~100 MB) fits with room to spare — an entry that exceeded the limit
-// would be evicted immediately and every rank of the world would
-// recompile it.
+// schedCacheDefaultLimit bounds retained program bytes per process. Rank
+// programs are small (O(blocks through the rank)), so this holds
+// thousands of them — every rank of a ring world at
+// sched.FullVerifyRanks (~100 MB together) with room to spare.
 const schedCacheDefaultLimit = 256 << 20
 
 var schedCache = &schedCacheT{
@@ -324,9 +299,9 @@ func SchedCacheStats() CacheStats {
 	}
 }
 
-// verifiedWorlds records the streaming cross-rank verification verdict
-// per (generator, world shape): the check walks every rank's slice, so
-// one pass per world per process is enough. Entries are a string and an
+// verifiedWorlds records the sched.VerifyWorld verdict per (generator,
+// world shape): the check covers every rank's program, so one pass per
+// world per process is enough. Entries are a string and an
 // error — O(worlds touched), not O(schedule).
 var verifiedWorlds = struct {
 	sync.Mutex
@@ -337,56 +312,13 @@ func worldKey(gen string, p int, m *topo.Mapping) string {
 	return fmt.Sprintf("%s|%d|%s", gen, p, topoKey(m))
 }
 
-// schedFor returns the verified whole-world schedule for a generator at
-// a p-rank world mapped by m, compiling it on first use (the
-// at-or-below-threshold path). Concurrent callers for one world
-// coalesce into a single compilation; rejections are negative-cached so
-// the failing generator runs once per world, not once per construction
-// attempt.
-func schedFor(gen string, p int, m *topo.Mapping) (*sched.Schedule, error) {
-	wk := worldKey(gen, p, m)
-	key, nkey := "w|"+wk, "n|"+wk
-	if e, ok := schedCache.get(key); ok {
-		return e.s, nil
-	}
-	if err, ok := schedCache.getNeg(nkey); ok {
-		return nil, err
-	}
-	v, err, _ := schedFlight.Do(key, func() (any, error) {
-		if e, ok := schedCache.peek(key); ok {
-			return e.s, nil
-		}
-		if err, ok := schedCache.peekNeg(nkey); ok {
-			return nil, err
-		}
-		s, err := schedGenerate(gen, p, m)
-		if err != nil {
-			err = fmt.Errorf("core: %s%s: %w", SchedPrefix, gen, err)
-			schedCache.putNeg(nkey, err)
-			return nil, err
-		}
-		if err := sched.Verify(s); err != nil {
-			err = fmt.Errorf("core: %s%s failed static verification: %w", SchedPrefix, gen, err)
-			schedCache.putNeg(nkey, err)
-			return nil, err
-		}
-		schedCache.put(&schedCacheEntry{key: key, bytes: s.MemBytes(), s: s})
-		return s, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*sched.Schedule), nil
-}
-
 // rankProgFor returns rank's verified program for a generator at a
-// p-rank world (the above-threshold path, and the only path while a
-// schedule-service fetcher is installed): in order, the in-process
-// cache, the schedule service, then direct compilation — O(slice)
-// memory — with the cross-rank properties proved once per world by the
-// streaming verifier (or by the service before it serves anything). Any
-// whole-world entry for the same world is evicted: once a world is
-// sliced, the assembled schedule must not linger in the cache.
+// p-rank world: in order, the in-process cache, the schedule service,
+// then direct compilation — O(slice) memory — with the world proved once
+// per world by sched.VerifyWorld (or by the service before it serves
+// anything). Concurrent callers for one rank coalesce into a single
+// compilation; rejections are negative-cached per world, so a failing
+// generator runs once per world, not once per construction attempt.
 func rankProgFor(gen string, p, rank int, m *topo.Mapping) (*sched.RankProgram, error) {
 	wk := worldKey(gen, p, m)
 	key, nkey := fmt.Sprintf("r|%s|%d", wk, rank), "n|"+wk
@@ -417,7 +349,6 @@ func rankProgFor(gen string, p, rank int, m *topo.Mapping) (*sched.RankProgram, 
 				if err := sched.VerifyRank(rp); err != nil {
 					return nil, fmt.Errorf("core: %s%s: fetched program failed verification: %w", SchedPrefix, gen, err)
 				}
-				schedCache.delete("w|" + wk)
 				schedCache.put(&schedCacheEntry{key: key, bytes: rp.MemBytes(), rp: rp})
 				return rp, nil
 			}
@@ -426,16 +357,15 @@ func rankProgFor(gen string, p, rank int, m *topo.Mapping) (*sched.RankProgram, 
 		verifiedWorlds.Lock()
 		werr, checked := verifiedWorlds.m[wk]
 		if !checked {
-			werr = schedVerifyWorldSliced(gen, p, m)
+			werr = schedVerifyWorld(gen, p, m)
 			verifiedWorlds.m[wk] = werr
 		}
 		verifiedWorlds.Unlock()
 		if werr != nil {
-			werr = fmt.Errorf("core: %s%s failed streamed verification: %w", SchedPrefix, gen, werr)
+			werr = fmt.Errorf("core: %s%s: %w", SchedPrefix, gen, werr)
 			schedCache.putNeg(nkey, werr)
 			return nil, werr
 		}
-		schedCache.delete("w|" + wk)
 		rp, err := schedGenerateRank(gen, p, rank, m)
 		if err != nil {
 			// Rank-range errors cannot reach here (rank comes from a live
@@ -444,11 +374,9 @@ func rankProgFor(gen string, p, rank int, m *topo.Mapping) (*sched.RankProgram, 
 			schedCache.putNeg(nkey, err)
 			return nil, err
 		}
-		// No per-slice VerifyRank here: the streamed world pass above already
-		// ran the identical local checks on every rank's slice, and
-		// generation is deterministic, so this regeneration is byte-identical
-		// to what it proved — re-walking it would double the construction
-		// cost of every above-threshold world.
+		// No per-slice VerifyRank here: the world pass above already checked
+		// every rank's program, and generation is deterministic, so this
+		// regeneration is byte-identical to what it proved.
 		schedCache.put(&schedCacheEntry{key: key, bytes: rp.MemBytes(), rp: rp})
 		return rp, nil
 	})
@@ -467,62 +395,39 @@ func topoKey(m *topo.Mapping) string {
 	return fmt.Sprintf("%dx%d", m.Nodes(), m.PPN())
 }
 
-// newSchedExec compiles and verifies gen's schedule for c's world and
-// wraps it in a fresh executor; sliced selects the rank-sliced
-// construction path.
-func newSchedExec(gen string, c comm.Comm, sliced bool) (*sched.Exec, error) {
-	if sliced {
-		rp, err := rankProgFor(gen, c.Size(), c.Rank(), c.Topo())
-		if err != nil {
-			return nil, err
-		}
-		return sched.NewRankExec(rp), nil
-	}
-	s, err := schedFor(gen, c.Size(), c.Topo())
-	if err != nil {
-		return nil, err
-	}
-	return sched.NewExec(s), nil
-}
-
-// NewSchedExec compiles, statically verifies, caches and wraps the named
-// generator's schedule for c's world, choosing the whole-world or
-// rank-sliced construction path exactly as the sched:* algorithm
-// registry does (sliced above schedSliceRanks ranks and whenever a
-// schedule-service fetcher is installed). It is the building block for
-// running schedules outside the Alltoaller shell — collx's
-// schedule-backed reductions and the sched-backed alltoallv dispatcher
-// construct through it, sharing the LRU cache, the negative cache, the
-// singleflight coalescing and the schedule service with every other
-// consumer. Callers running reduction schedules must install an operator
-// via Exec.SetOp before Run.
+// NewSchedExec compiles, statically verifies, caches and wraps this
+// rank's program of the named generator for c's world, exactly as the
+// sched:* algorithm registry does. It is the building block for running
+// schedules outside the Alltoaller shell — collx's schedule-backed
+// reductions construct through it, sharing the LRU cache, the negative
+// cache, the singleflight coalescing and the schedule service with every
+// other consumer. Callers running reduction schedules must install an
+// operator via Exec.SetOp before Run.
 func NewSchedExec(gen string, c comm.Comm) (*sched.Exec, error) {
 	if c == nil {
 		return nil, errNilComm
 	}
-	sliced := c.Size() > schedSliceRanks || schedFetcher() != nil
-	return newSchedExec(gen, c, sliced)
-}
-
-// newSchedState builds the persistent operation; sliced selects the
-// rank-sliced construction path (forced above schedSliceRanks, and
-// whenever a schedule-service fetcher is installed — the service serves
-// rank programs).
-func newSchedState(gen string, c comm.Comm, maxBlock int, sliced bool) (Alltoaller, error) {
-	st := &schedState{}
-	ex, err := newSchedExec(gen, c, sliced)
+	rp, err := rankProgFor(gen, c.Size(), c.Rank(), c.Topo())
 	if err != nil {
 		return nil, err
 	}
-	st.ex = ex
+	return sched.NewRankExec(rp), nil
+}
+
+// newSchedState builds the persistent operation.
+func newSchedState(gen string, c comm.Comm, maxBlock int) (Alltoaller, error) {
+	ex, err := NewSchedExec(gen, c)
+	if err != nil {
+		return nil, err
+	}
+	st := &schedState{ex: ex}
 	st.basic = newBasic(SchedPrefix+gen, c, maxBlock, st.run)
 	return st, nil
 }
 
 func newSchedFactory(gen string) factory {
 	return func(c comm.Comm, maxBlock int, _ Options) (Alltoaller, error) {
-		sliced := c.Size() > schedSliceRanks || schedFetcher() != nil
-		return newSchedState(gen, c, maxBlock, sliced)
+		return newSchedState(gen, c, maxBlock)
 	}
 }
 

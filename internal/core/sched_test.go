@@ -257,8 +257,9 @@ func TestSchedVirtualRuns(t *testing.T) {
 	}
 }
 
-// TestSchedExposesSchedule: the compiled schedule is inspectable through
-// the Schedule() assertion and reports coherent stats.
+// TestSchedExposesSchedule: this rank's compiled program is inspectable
+// through the Program() assertion and reports coherent stats; no
+// assembled schedule is kept.
 func TestSchedExposesSchedule(t *testing.T) {
 	t.Parallel()
 	m := mapping(t, 2, 4)
@@ -267,16 +268,19 @@ func TestSchedExposesSchedule(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		s := a.(interface{ Schedule() *sched.Schedule }).Schedule()
-		if s.Ranks != c.Size() {
-			return fmt.Errorf("schedule ranks %d, world %d", s.Ranks, c.Size())
+		if s := a.(interface{ Schedule() *sched.Schedule }).Schedule(); s != nil {
+			return fmt.Errorf("construction kept an assembled schedule")
+		}
+		rp := a.(interface{ Program() *sched.RankProgram }).Program()
+		if rp.Ranks != c.Size() || rp.Rank != c.Rank() {
+			return fmt.Errorf("program is rank %d of %d, want rank %d of %d", rp.Rank, rp.Ranks, c.Rank(), c.Size())
 		}
 		// The topology is 2 nodes x 4 ppn: the torus generator must have
 		// picked that grid up from the communicator.
-		if s.Name != "torus2x4" {
-			return fmt.Errorf("schedule name %q, want torus2x4 (from the world topology)", s.Name)
+		if rp.Name != "torus2x4" {
+			return fmt.Errorf("program name %q, want torus2x4 (from the world topology)", rp.Name)
 		}
-		if st := s.Stats(); st.Messages == 0 || st.Rounds == 0 {
+		if st := rp.Stats(); st.Messages == 0 || st.Rounds == 0 {
 			return fmt.Errorf("empty stats %+v", st)
 		}
 		return nil

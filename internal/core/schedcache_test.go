@@ -19,26 +19,22 @@ import (
 // install it must not be parallel: the seams and the cache are package
 // globals.
 type schedSeams struct {
-	generates, rankGenerates, worldVerifies atomic.Int64
+	rankGenerates, worldVerifies atomic.Int64
 }
 
 func countSchedSeams(t *testing.T) *schedSeams {
 	t.Helper()
 	var c schedSeams
-	og, ogr, ovw := schedGenerate, schedGenerateRank, schedVerifyWorldSliced
-	schedGenerate = func(name string, p int, m *topo.Mapping) (*sched.Schedule, error) {
-		c.generates.Add(1)
-		return og(name, p, m)
-	}
+	ogr, ovw := schedGenerateRank, schedVerifyWorld
 	schedGenerateRank = func(name string, p, rank int, m *topo.Mapping) (*sched.RankProgram, error) {
 		c.rankGenerates.Add(1)
 		return ogr(name, p, rank, m)
 	}
-	schedVerifyWorldSliced = func(name string, p int, m *topo.Mapping) error {
+	schedVerifyWorld = func(name string, p int, m *topo.Mapping) error {
 		c.worldVerifies.Add(1)
 		return ovw(name, p, m)
 	}
-	t.Cleanup(func() { schedGenerate, schedGenerateRank, schedVerifyWorldSliced = og, ogr, ovw })
+	t.Cleanup(func() { schedGenerateRank, schedVerifyWorld = ogr, ovw })
 	return &c
 }
 
@@ -48,7 +44,6 @@ func dropWorld(t *testing.T, gen string, p int, m *topo.Mapping) {
 	t.Helper()
 	clean := func() {
 		wk := worldKey(gen, p, m)
-		schedCache.delete("w|" + wk)
 		schedCache.deleteNeg("n|" + wk)
 		for r := 0; r < p; r++ {
 			schedCache.delete(fmt.Sprintf("r|%s|%d", wk, r))
@@ -63,8 +58,9 @@ func dropWorld(t *testing.T, gen string, p int, m *topo.Mapping) {
 
 // TestSchedNegativeCacheRunsGeneratorOnce is the regression test for
 // repeated doomed constructions: constructing sched:hypercube at a
-// 6-rank world twice runs the generator exactly once — the second
-// construction (all six ranks of it) is answered by the negative cache.
+// 6-rank world twice runs the world gate (where the generator refuses)
+// exactly once — the second construction (all six ranks of it) is
+// answered by the negative cache.
 func TestSchedNegativeCacheRunsGeneratorOnce(t *testing.T) {
 	c := countSchedSeams(t)
 	dropWorld(t, "hypercube", 6, nil)
@@ -91,14 +87,17 @@ func TestSchedNegativeCacheRunsGeneratorOnce(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "power-of-two") {
 		t.Fatalf("first construction: %v", err)
 	}
-	if got := c.generates.Load(); got != 1 {
-		t.Fatalf("first construction ran the generator %d times, want 1 (six ranks raced)", got)
+	if got := c.worldVerifies.Load(); got != 1 {
+		t.Fatalf("first construction ran the world gate %d times, want 1 (six ranks raced)", got)
+	}
+	if got := c.rankGenerates.Load(); got != 0 {
+		t.Fatalf("rejected world compiled %d rank programs, want 0", got)
 	}
 	if err := construct(); err == nil {
 		t.Fatal("second construction succeeded")
 	}
-	if got := c.generates.Load(); got != 1 {
-		t.Fatalf("second construction re-ran the generator (%d total runs)", got)
+	if got := c.worldVerifies.Load(); got != 1 {
+		t.Fatalf("second construction re-ran the world gate (%d total runs)", got)
 	}
 	st := SchedCacheStats()
 	if st.NegativeEntries == 0 || st.NegativeHits == 0 {
@@ -107,15 +106,15 @@ func TestSchedNegativeCacheRunsGeneratorOnce(t *testing.T) {
 }
 
 // TestSchedCacheStatsTransitions pins the counter transitions across the
-// miss → hit → eviction → miss lifecycle of one world. Delta-based: the
-// counters are process-lifetime.
+// miss → hit → eviction → miss lifecycle of one rank program.
+// Delta-based: the counters are process-lifetime.
 func TestSchedCacheStatsTransitions(t *testing.T) {
 	countSchedSeams(t)
 	const gen, p = "pairwise", 11
 	dropWorld(t, gen, p, nil)
 
 	base := SchedCacheStats()
-	if _, err := schedFor(gen, p, nil); err != nil {
+	if _, err := rankProgFor(gen, p, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := SchedCacheStats()
@@ -126,7 +125,7 @@ func TestSchedCacheStatsTransitions(t *testing.T) {
 		t.Fatalf("cold construction: %d hits, want 0", d)
 	}
 
-	if _, err := schedFor(gen, p, nil); err != nil {
+	if _, err := rankProgFor(gen, p, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	st2 := SchedCacheStats()
@@ -150,7 +149,7 @@ func TestSchedCacheStatsTransitions(t *testing.T) {
 	setSchedCacheLimit(old)
 
 	// Evicted world misses again and recompiles.
-	if _, err := schedFor(gen, p, nil); err != nil {
+	if _, err := rankProgFor(gen, p, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	st4 := SchedCacheStats()
@@ -167,17 +166,18 @@ func TestSchedConstructionSingleflight(t *testing.T) {
 	const gen, p = "ring", 13
 	dropWorld(t, gen, p, nil)
 
-	// Same whole-world key: one generator run shared by all.
+	// Same rank key: one world verification and one rank compile shared
+	// by all.
 	const racers = 24
 	var wg sync.WaitGroup
-	scheds := make([]*sched.Schedule, racers)
+	same := make([]*sched.RankProgram, racers)
 	errs := make([]error, racers)
 	for i := 0; i < racers; i++ {
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scheds[i], errs[i] = schedFor(gen, p, nil)
+			same[i], errs[i] = rankProgFor(gen, p, 0, nil)
 		}()
 	}
 	wg.Wait()
@@ -186,18 +186,19 @@ func TestSchedConstructionSingleflight(t *testing.T) {
 			t.Fatalf("racer %d: %v", i, err)
 		}
 	}
-	if got := c.generates.Load(); got != 1 {
-		t.Fatalf("whole-world generator ran %d times under contention, want 1", got)
+	if v, g := c.worldVerifies.Load(), c.rankGenerates.Load(); v != 1 || g != 1 {
+		t.Fatalf("under contention: %d world verifications, %d rank compiles, want 1 each", v, g)
 	}
 	for i := 1; i < racers; i++ {
-		if scheds[i] != scheds[0] {
-			t.Fatal("racers hold different schedule instances")
+		if same[i] != same[0] {
+			t.Fatal("racers hold different program instances")
 		}
 	}
 
-	// Different rank keys of one world through the sliced path: one
-	// world verification, one rank compile per rank, byte-identical
-	// across repeat constructions.
+	// Different rank keys of one world: one world verification, one rank
+	// compile per rank, byte-identical across repeat constructions.
+	c.worldVerifies.Store(0)
+	c.rankGenerates.Store(0)
 	dropWorld(t, gen, p, nil)
 	rps := make([]*sched.RankProgram, 2*p)
 	perrs := make([]error, 2*p)
@@ -216,7 +217,7 @@ func TestSchedConstructionSingleflight(t *testing.T) {
 		}
 	}
 	// Encode after the join: racers for one rank share the cached
-	// program instance, and Encode writes the receiver's format field.
+	// program instance.
 	progs := make([][]byte, 2*p)
 	for i, rp := range rps {
 		var buf bytes.Buffer
@@ -226,7 +227,7 @@ func TestSchedConstructionSingleflight(t *testing.T) {
 		progs[i] = buf.Bytes()
 	}
 	if got := c.worldVerifies.Load(); got != 1 {
-		t.Fatalf("streamed verification ran %d times, want 1", got)
+		t.Fatalf("world verification ran %d times, want 1", got)
 	}
 	if got := c.rankGenerates.Load(); got != int64(p) {
 		t.Fatalf("rank generator ran %d times, want %d (once per rank)", got, p)
@@ -306,28 +307,72 @@ func TestSchedFetcherFallback(t *testing.T) {
 	}
 }
 
-// TestSchedFetcherForcesSlicedPath: with a fetcher installed, even a
-// small world constructs through the rank-sliced path (the service
-// serves rank programs, not assembled schedules).
-func TestSchedFetcherForcesSlicedPath(t *testing.T) {
-	countSchedSeams(t)
-	const gen, p = "direct", 7
+// swapTransitTargets swaps the destinations of the first two round-1
+// unpack copies that park in-transit blocks (scratch space 0 of the
+// route schedules), so two forwarded blocks trade places. It reports
+// whether the program had two such copies.
+func swapTransitTargets(rp *sched.RankProgram) bool {
+	var idx []int
+	for i, st := range rp.Rounds[1] {
+		if st.Kind == sched.Copy && st.Dst.Buf == sched.SpaceScratch && st.Src.Buf != sched.SpaceScratch {
+			idx = append(idx, i)
+		}
+	}
+	if len(idx) < 2 {
+		return false
+	}
+	steps := rp.Rounds[1]
+	steps[idx[0]].Dst, steps[idx[1]].Dst = steps[idx[1]].Dst, steps[idx[0]].Dst
+	return true
+}
+
+// TestSchedSmallWorldRunsFullProof: at worlds of at most
+// sched.FullVerifyRanks ranks, construction gates on the full content
+// proof, not only the streamed checks. The world gate is fed a ring
+// world in which rank 0 swaps two in-transit blocks: every local and
+// cross-rank message check still holds, so the streamed verifier
+// accepts it, but both blocks arrive at the wrong destination slot —
+// and construction must fail on every rank.
+// Not parallel: it replaces the world-gate seam.
+func TestSchedSmallWorldRunsFullProof(t *testing.T) {
+	const gen, p = "ring", 8
 	dropWorld(t, gen, p, nil)
-	t.Cleanup(func() { SetSchedFetcher(nil) })
-	SetSchedFetcher(func(g string, ranks int, m *topo.Mapping, rank int) (*sched.RankProgram, error) {
-		return sched.GenerateRank(g, ranks, rank, m)
-	})
-	err := runtime.Run(runtime.Config{Ranks: p}, func(cm comm.Comm) error {
-		a, err := New("sched:"+gen, cm, 4, Options{})
+	corrupted := func(r int) (*sched.RankProgram, error) {
+		rp, err := sched.GenerateRank(gen, p, r, nil)
+		if err != nil || r != 0 {
+			return rp, err
+		}
+		if !swapTransitTargets(rp) {
+			return nil, fmt.Errorf("rank 0 of %s@%d parks fewer than two blocks in transit in round 1", gen, p)
+		}
+		return rp, nil
+	}
+	sv := sched.NewStreamVerifier(p)
+	for r := 0; r < p; r++ {
+		rp, err := corrupted(r)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		st := a.(*schedState)
-		if st.Schedule() != nil {
-			return fmt.Errorf("fetcher-backed construction materialized a whole-world schedule")
+		if err := sv.Add(rp); err != nil {
+			t.Fatalf("streamed verifier rejected rank %d: %v (the corruption must be one only the full proof sees)", r, err)
 		}
-		if rp := st.Program(); rp == nil || rp.Rank != cm.Rank() {
-			return fmt.Errorf("fetcher-backed construction program = %+v", rp)
+	}
+	if err := sv.Finish(); err != nil {
+		t.Fatalf("streamed verifier rejected the world: %v", err)
+	}
+
+	orig := schedVerifyWorld
+	t.Cleanup(func() { schedVerifyWorld = orig })
+	schedVerifyWorld = func(_ string, ranks int, _ *topo.Mapping) error {
+		return sched.VerifyPrograms(ranks, corrupted)
+	}
+	err := runtime.Run(runtime.Config{Ranks: p}, func(c comm.Comm) error {
+		_, err := New(SchedPrefix+gen, c, 8, Options{})
+		if err == nil {
+			return fmt.Errorf("rank %d constructed a world whose blocks are misrouted", c.Rank())
+		}
+		if !strings.Contains(err.Error(), "failed verification") {
+			return fmt.Errorf("rank %d: unexpected error: %v", c.Rank(), err)
 		}
 		return nil
 	})

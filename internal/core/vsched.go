@@ -30,11 +30,12 @@ import (
 // alltoallv (distinct from the other v-algorithm control tags).
 const tagVSched = 331
 
-// vSchedMaxRanks caps the worlds the sched-backed alltoallv accepts:
-// the count matrix is inherently O(p^2) state, the assembled schedule is
-// compiled and verified whole, and the per-call allgather is O(p)
-// messages — the same ceiling as the fixed-count whole-world path.
-const vSchedMaxRanks = schedSliceRanks
+// VSchedMaxRanks caps the worlds the sched-backed alltoallv accepts. Its
+// schedule is parameterized by the p x p count matrix, which every rank
+// allgathers (O(p^2) bytes per rank per call) and compiles and verifies
+// whole per distinct matrix; at 128 ranks that matrix is already 128 KiB
+// per rank. autotune reads it to keep the candidate off larger pools.
+const VSchedMaxRanks = 128
 
 type vSched struct {
 	name     string // registry name: "sched:<generator>"
@@ -56,9 +57,9 @@ type vSched struct {
 func newVSched(gen string) vFactory {
 	return func(c comm.Comm, maxTotal int, _ Options) (Alltoallver, error) {
 		p := c.Size()
-		if p > vSchedMaxRanks {
+		if p > VSchedMaxRanks {
 			return nil, fmt.Errorf("core: sched:%s compiles the assembled alltoallv schedule; worlds above %d ranks are not supported (have %d)",
-				gen, vSchedMaxRanks, p)
+				gen, VSchedMaxRanks, p)
 		}
 		return &vSched{
 			name: SchedPrefix + gen, gen: gen, c: c, maxTotal: maxTotal,

@@ -135,11 +135,11 @@ func TestVSchedAsymmetricCountsDetected(t *testing.T) {
 	}
 }
 
-// TestVSchedWorldCap: construction is rejected above vSchedMaxRanks —
+// TestVSchedWorldCap: construction is rejected above VSchedMaxRanks —
 // the assembled O(p^2) compile does not scale past it.
 func TestVSchedWorldCap(t *testing.T) {
 	t.Parallel()
-	err := runtime.Run(runtime.Config{Ranks: vSchedMaxRanks + 2}, func(c comm.Comm) error {
+	err := runtime.Run(runtime.Config{Ranks: VSchedMaxRanks + 2}, func(c comm.Comm) error {
 		_, err := NewV("sched:pairwise", c, 8, Options{})
 		if err == nil {
 			return fmt.Errorf("sched:pairwise accepted %d ranks", c.Size())

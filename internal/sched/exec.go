@@ -20,12 +20,12 @@ const TagBase = 401
 //
 // An Exec holds either a whole-world Schedule (NewExec) — sliced lazily
 // for whichever rank runs it — or a single rank's pre-sliced RankProgram
-// (NewRankExec), the large-world form that never needs the assembled
+// (NewRankExec), the form core runs, which never needs the assembled
 // schedule in memory.
 //
-// Exec does not verify: callers must Verify the schedule (or VerifyRank
-// plus the streamed world check for rank programs) once before
-// constructing an executor (core does this at algorithm construction).
+// Exec does not verify: callers must Verify the schedule (or pass the
+// rank program's world through VerifyWorld) once before constructing an
+// executor (core does this at algorithm construction).
 // Like the operations built on it, an Exec is driven by one rank's
 // goroutine and is not safe for concurrent use.
 type Exec struct {
@@ -60,10 +60,6 @@ func NewExec(s *Schedule) *Exec {
 func NewRankExec(rp *RankProgram) *Exec {
 	return &Exec{rp: rp, scratch: make([]comm.Buffer, len(rp.Scratch))}
 }
-
-// Schedule returns the executed whole-world schedule (nil for executors
-// built from a rank program).
-func (e *Exec) Schedule() *Schedule { return e.s }
 
 // Program returns the rank program the executor runs: the pre-sliced one,
 // or the last slice taken from the whole-world schedule (nil before the

@@ -2,45 +2,41 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"alltoallx/internal/topo"
 )
 
-// Generator compiles an all-to-all schedule for p ranks. The mapping is
-// the world topology when known (nil otherwise); topology-aware
-// generators (torus) shape themselves from it.
-type Generator func(p int, m *topo.Mapping) (*Schedule, error)
-
-// genEntry couples a generator's collective kind with its whole-world
-// and rank-sliced compilers (one sliced implementation per generator; a
-// test pins every entry complete).
+// genEntry couples a generator's collective kind with its rank
+// compiler: every schedule is compiled one rank at a time, and Generate
+// assembles the whole world from those programs.
 type genEntry struct {
-	coll  Coll
-	whole Generator
-	rank  rankGenerator
+	coll Coll
+	rank rankGenerator
 }
 
 // genRegistry is the registry of schedule generators. The classic
 // all-to-all algorithms (direct, pairwise, bruck) are compiled straight
 // into the IR; the direct-connect families (ring, torus, hypercube) are
-// compiled from per-block routes — schedules the loop-coded core
-// algorithms cannot express. The rs-*/ar-* families compile
-// reduce-scatter and allreduce onto the same topologies (reduce.go).
+// compiled from per-block routes (routeslice.go) — schedules the
+// loop-coded core algorithms cannot express. The rs-*/ar-* families
+// compile reduce-scatter and allreduce onto the same topologies
+// (reduce.go).
 var genRegistry = map[string]genEntry{
-	"direct":    {CollAlltoall, Direct, directRank},
-	"pairwise":  {CollAlltoall, Pairwise, pairwiseRank},
-	"bruck":     {CollAlltoall, Bruck, bruckRank},
-	"ring":      {CollAlltoall, Ring, ringRank},
-	"torus":     {CollAlltoall, Torus, torusRank},
-	"hypercube": {CollAlltoall, Hypercube, hypercubeRank},
+	"direct":    {CollAlltoall, directRank},
+	"pairwise":  {CollAlltoall, pairwiseRank},
+	"bruck":     {CollAlltoall, bruckRank},
+	"ring":      {CollAlltoall, ringRank},
+	"torus":     {CollAlltoall, torusRank},
+	"hypercube": {CollAlltoall, hypercubeRank},
 
-	"rs-ring":      {CollReduceScatter, RingReduceScatter, ringReduceScatterRank},
-	"rs-torus":     {CollReduceScatter, TorusReduceScatter, torusReduceScatterRank},
-	"rs-hypercube": {CollReduceScatter, HypercubeReduceScatter, hypercubeReduceScatterRank},
-	"ar-ring":      {CollAllreduce, RingAllreduce, ringAllreduceRank},
-	"ar-torus":     {CollAllreduce, TorusAllreduce, torusAllreduceRank},
-	"ar-hypercube": {CollAllreduce, HypercubeAllreduce, hypercubeAllreduceRank},
+	"rs-ring":      {CollReduceScatter, ringReduceScatterRank},
+	"rs-torus":     {CollReduceScatter, torusReduceScatterRank},
+	"rs-hypercube": {CollReduceScatter, hypercubeReduceScatterRank},
+	"ar-ring":      {CollAllreduce, ringAllreduceRank},
+	"ar-torus":     {CollAllreduce, torusAllreduceRank},
+	"ar-hypercube": {CollAllreduce, hypercubeAllreduceRank},
 }
 
 // Generators returns the all-to-all generator names, sorted — the set
@@ -96,16 +92,72 @@ func checkRanks(p int) error {
 	return nil
 }
 
-// Generate compiles the named schedule for p ranks (m may be nil).
+// Generate compiles the named schedule for p ranks (m may be nil) by
+// assembling every rank's GenerateRank program, so the assembled world
+// is exactly the set of programs the ranks run.
 func Generate(name string, p int, m *topo.Mapping) (*Schedule, error) {
-	e, ok := genRegistry[name]
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown generator %q (have %v)", name, AllGenerators())
-	}
-	if err := checkRanks(p); err != nil {
+	e, err := lookupGen(name, p)
+	if err != nil {
 		return nil, err
 	}
-	return e.whole(p, m)
+	rps := make([]*RankProgram, p)
+	for r := range rps {
+		if rps[r], err = e.rank(p, r, m); err != nil {
+			return nil, err
+		}
+	}
+	return assemble(rps)
+}
+
+// lookupGen resolves a generator name and validates the world size.
+func lookupGen(name string, p int) (genEntry, error) {
+	e, ok := genRegistry[name]
+	if !ok {
+		return e, fmt.Errorf("sched: unknown generator %q (have %v)", name, AllGenerators())
+	}
+	return e, checkRanks(p)
+}
+
+// assemble builds the whole-world schedule from every rank's program:
+// round ri holds each rank's ri-th step list (nil past a rank's last
+// round). The header comes from rank 0; every other program must agree
+// with it, so the schedule a verifier proves covers each program as
+// compiled.
+func assemble(rps []*RankProgram) (*Schedule, error) {
+	h := rps[0]
+	for r, rp := range rps {
+		if rp.Rank != r || rp.Ranks != len(rps) || rp.Name != h.Name || rp.Coll != h.Coll ||
+			rp.Op != h.Op || !slices.Equal(rp.Scratch, h.Scratch) {
+			return nil, fmt.Errorf("sched: %s rank %d program header disagrees with rank 0 (rank %d of %d, scratch %v vs %v)",
+				h.Name, r, rp.Rank, rp.Ranks, rp.Scratch, h.Scratch)
+		}
+	}
+	perRank := make([][][]Step, len(rps))
+	for r, rp := range rps {
+		perRank[r] = rp.Rounds
+	}
+	return &Schedule{Format: FormatVersion, Name: h.Name, Ranks: len(rps), Coll: h.Coll, Op: h.Op,
+		Scratch: h.Scratch, Rounds: stackRounds(perRank)}, nil
+}
+
+// stackRounds lays per-rank round lists side by side: round ri of the
+// result holds every rank's ri-th step list, nil for a rank whose
+// program has fewer rounds.
+func stackRounds(perRank [][][]Step) []Round {
+	nr := 0
+	for _, rounds := range perRank {
+		nr = max(nr, len(rounds))
+	}
+	out := make([]Round, nr)
+	for ri := range out {
+		out[ri].Steps = make([][]Step, len(perRank))
+		for r, rounds := range perRank {
+			if ri < len(rounds) {
+				out[ri].Steps[r] = rounds[ri]
+			}
+		}
+	}
+	return out
 }
 
 // sendRef/recvRef/scratchRef are small constructors for readable
@@ -119,10 +171,8 @@ func selfCopy(r int) Step {
 	return Step{Kind: Copy, Src: sendRef(r, 1), Dst: recvRef(r, 1)}
 }
 
-// The classic generators are built from per-rank step builders: Generate
-// assembles all p ranks into a Schedule, GenerateRank emits exactly one
-// rank's rounds as a RankProgram (O(p) work for direct/pairwise,
-// O(p log p) for bruck) without ever materializing the whole world.
+// The classic generators emit one rank's rounds as a RankProgram: O(p)
+// work for direct/pairwise, O(p log p) for bruck.
 
 // directSteps is rank r's single round of the spread direct exchange: all
 // p-1 receives posted first, then all p-1 sends, in spread order (peer
@@ -140,17 +190,9 @@ func directSteps(p, r int) []Step {
 	return steps
 }
 
-// Direct compiles the spread direct exchange (the nonblocking algorithm):
-// a single round in which every rank posts all p-1 receives, then all p-1
-// sends.
-func Direct(p int, _ *topo.Mapping) (*Schedule, error) {
-	s := &Schedule{Format: FormatVersion, Name: "direct", Ranks: p, Rounds: []Round{{Steps: make([][]Step, p)}}}
-	for r := 0; r < p; r++ {
-		s.Rounds[0].Steps[r] = directSteps(p, r)
-	}
-	return s, nil
-}
-
+// directRank compiles the spread direct exchange (the nonblocking
+// algorithm): a single round in which every rank posts all p-1 receives,
+// then all p-1 sends.
 func directRank(p, r int, _ *topo.Mapping) (*RankProgram, error) {
 	return &RankProgram{Format: FormatVersion, Name: "direct", Ranks: p, Rank: r,
 		Rounds: [][]Step{directSteps(p, r)}}, nil
@@ -164,25 +206,8 @@ func pairwiseSteps(p, r, i int) []Step {
 	return []Step{{Kind: SendRecv, To: to, Src: sendRef(to, 1), From: from, Dst: recvRef(from, 1)}}
 }
 
-// Pairwise compiles Algorithm 1: a self-copy round followed by p-1
+// pairwiseRank compiles Algorithm 1: a self-copy round followed by p-1
 // rounds, each one SendRecv per rank with disjoint partners.
-func Pairwise(p int, _ *topo.Mapping) (*Schedule, error) {
-	s := &Schedule{Format: FormatVersion, Name: "pairwise", Ranks: p}
-	r0 := Round{Steps: make([][]Step, p)}
-	for r := 0; r < p; r++ {
-		r0.Steps[r] = []Step{selfCopy(r)}
-	}
-	s.Rounds = append(s.Rounds, r0)
-	for i := 1; i < p; i++ {
-		rd := Round{Steps: make([][]Step, p)}
-		for r := 0; r < p; r++ {
-			rd.Steps[r] = pairwiseSteps(p, r, i)
-		}
-		s.Rounds = append(s.Rounds, rd)
-	}
-	return s, nil
-}
-
 func pairwiseRank(p, r int, _ *topo.Mapping) (*RankProgram, error) {
 	rp := &RankProgram{Format: FormatVersion, Name: "pairwise", Ranks: p, Rank: r,
 		Rounds: [][]Step{{selfCopy(r)}}}
@@ -283,40 +308,11 @@ func bruckFinalSteps(p int, ks []int, r int) []Step {
 	return steps
 }
 
-// Bruck compiles the Bruck algorithm: a rotation round, ceil(log2 p)
+// bruckRank compiles the Bruck algorithm: a rotation round, ceil(log2 p)
 // exchange rounds each packing the blocks whose index has bit k set, and
 // a final unpack + inverse-rotation round. Receive staging is
-// double-buffered so an exchange round never receives into the buffer its
-// unpack copies are still reading — the race the verifier rejects.
-func Bruck(p int, _ *topo.Mapping) (*Schedule, error) {
-	if p == 1 {
-		return Pairwise(p, nil)
-	}
-	ks, h := bruckPlan(p)
-	s := &Schedule{Format: FormatVersion, Name: "bruck", Ranks: p, Scratch: []int{p, h, h, h}}
-
-	r0 := Round{Steps: make([][]Step, p)}
-	for r := 0; r < p; r++ {
-		r0.Steps[r] = bruckRotateSteps(p, r)
-	}
-	s.Rounds = append(s.Rounds, r0)
-
-	for ki := range ks {
-		rd := Round{Steps: make([][]Step, p)}
-		for r := 0; r < p; r++ {
-			rd.Steps[r] = bruckExchangeSteps(p, ks, ki, r)
-		}
-		s.Rounds = append(s.Rounds, rd)
-	}
-
-	fin := Round{Steps: make([][]Step, p)}
-	for r := 0; r < p; r++ {
-		fin.Steps[r] = bruckFinalSteps(p, ks, r)
-	}
-	s.Rounds = append(s.Rounds, fin)
-	return s, nil
-}
-
+// double-buffered so an exchange round never receives into the buffer
+// its unpack copies are still reading — the race the verifier rejects.
 func bruckRank(p, r int, m *topo.Mapping) (*RankProgram, error) {
 	if p == 1 {
 		return pairwiseRank(p, r, m)

@@ -55,25 +55,12 @@ func GenerateV(name string, counts [][]int) (*Schedule, error) {
 		}
 		cp[s] = append([]int(nil), row...)
 	}
-	sc := &Schedule{Format: FormatVersion, Name: "v-" + name, Ranks: p,
-		Coll: CollAlltoallv, Counts: cp}
 	perRank := make([][][]Step, p)
-	nr := 0
-	for r := 0; r < p; r++ {
+	for r := range perRank {
 		perRank[r] = gen(cp, r)
-		if len(perRank[r]) > nr {
-			nr = len(perRank[r])
-		}
 	}
-	for ri := 0; ri < nr; ri++ {
-		rd := Round{Steps: make([][]Step, p)}
-		for r := 0; r < p; r++ {
-			if ri < len(perRank[r]) {
-				rd.Steps[r] = perRank[r][ri]
-			}
-		}
-		sc.Rounds = append(sc.Rounds, rd)
-	}
+	sc := &Schedule{Format: FormatVersion, Name: "v-" + name, Ranks: p,
+		Coll: CollAlltoallv, Counts: cp, Rounds: stackRounds(perRank)}
 	return sc, nil
 }
 

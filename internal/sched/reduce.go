@@ -1,9 +1,7 @@
 // Reduction-schedule generators: reduce-scatter and allreduce compiled
 // onto the same direct-connect topologies as the all-to-all families
-// (ring, 2D torus, hypercube). Every generator is built from a per-rank
-// rounds builder shared between the whole-world compiler and the
-// rank-sliced compiler, so GenerateRank is byte-identical to
-// Slice(Generate(...)) by construction.
+// (ring, 2D torus, hypercube). Every generator is a per-rank rounds
+// builder; Generate assembles the world from its rank programs.
 //
 // The schedules are operator-generic: a reduce-scatter or allreduce
 // schedule is valid for any associative, commutative operator, so the
@@ -32,32 +30,7 @@ import (
 	"alltoallx/internal/topo"
 )
 
-// assembleReduce builds a whole-world reduction schedule from a per-rank
-// rounds builder with a uniform round count across ranks.
-func assembleReduce(name string, coll Coll, p int, scratch []int, rounds func(r int) [][]Step) *Schedule {
-	s := &Schedule{Format: FormatVersion, Name: name, Ranks: p, Coll: coll, Op: OpAny, Scratch: scratch}
-	perRank := make([][][]Step, p)
-	nr := 0
-	for r := 0; r < p; r++ {
-		perRank[r] = rounds(r)
-		if len(perRank[r]) > nr {
-			nr = len(perRank[r])
-		}
-	}
-	for ri := 0; ri < nr; ri++ {
-		rd := Round{Steps: make([][]Step, p)}
-		for r := 0; r < p; r++ {
-			if ri < len(perRank[r]) {
-				rd.Steps[r] = perRank[r][ri]
-			}
-		}
-		s.Rounds = append(s.Rounds, rd)
-	}
-	return s
-}
-
-// reduceRank wraps one rank's rounds as a RankProgram with the same
-// header fields assembleReduce emits, keeping the Slice identity exact.
+// reduceRank wraps one rank's rounds as a reduction RankProgram.
 func reduceRank(name string, coll Coll, p, r int, scratch []int, rounds [][]Step) *RankProgram {
 	return &RankProgram{Format: FormatVersion, Name: name, Ranks: p, Rank: r,
 		Coll: coll, Op: OpAny, Scratch: scratch, Rounds: rounds}
@@ -133,15 +106,9 @@ func ringReduceScatterRounds(p, r int) [][]Step {
 		func(c int) Ref { return sendRef(c, 1) }, recvRef(0, 1))
 }
 
-// RingReduceScatter compiles the ring bucket reduce-scatter: p-1 rounds
+// ringReduceScatterRank compiles the ring bucket reduce-scatter: p-1 rounds
 // of one-block reduce-and-forward, every link carrying exactly one block
 // per round.
-func RingReduceScatter(p int, _ *topo.Mapping) (*Schedule, error) {
-	return assembleReduce("rs-ring", CollReduceScatter, p, []int{1, 1}, func(r int) [][]Step {
-		return ringReduceScatterRounds(p, r)
-	}), nil
-}
-
 func ringReduceScatterRank(p, r int, _ *topo.Mapping) (*RankProgram, error) {
 	return reduceRank("rs-ring", CollReduceScatter, p, r, []int{1, 1}, ringReduceScatterRounds(p, r)), nil
 }
@@ -157,14 +124,8 @@ func ringAllreduceRounds(p, r int) [][]Step {
 	return append(rounds, ringAGRounds(p, r, next, prev, recvChunk)...)
 }
 
-// RingAllreduce compiles the ring allreduce (bucket reduce-scatter +
+// ringAllreduceRank compiles the ring allreduce (bucket reduce-scatter +
 // ring allgather): 2(p-1) rounds, bandwidth-optimal wire volume.
-func RingAllreduce(p int, _ *topo.Mapping) (*Schedule, error) {
-	return assembleReduce("ar-ring", CollAllreduce, p, []int{1, 1}, func(r int) [][]Step {
-		return ringAllreduceRounds(p, r)
-	}), nil
-}
-
 func ringAllreduceRank(p, r int, _ *topo.Mapping) (*RankProgram, error) {
 	return reduceRank("ar-ring", CollAllreduce, p, r, []int{1, 1}, ringAllreduceRounds(p, r)), nil
 }
@@ -210,19 +171,11 @@ func torusRSRounds(p, rows, cols, r int, dst Ref) [][]Step {
 	return rounds
 }
 
-// TorusReduceScatter compiles the two-phase torus reduce-scatter: ring
+// torusReduceScatterRank compiles the two-phase torus reduce-scatter: ring
 // reduce-scatter along the row ring (rows-block chunks), then along the
 // column ring (one-block chunks). The decomposition follows the
 // all-to-all torus: the topology's nodes x ppn when it matches, the
 // most-square factorization otherwise.
-func TorusReduceScatter(p int, m *topo.Mapping) (*Schedule, error) {
-	rows, cols := torusShape(p, m)
-	name := fmt.Sprintf("rs-torus%dx%d", rows, cols)
-	return assembleReduce(name, CollReduceScatter, p, torusReduceScratch(p, rows), func(r int) [][]Step {
-		return torusRSRounds(p, rows, cols, r, recvRef(0, 1))
-	}), nil
-}
-
 func torusReduceScatterRank(p, r int, m *topo.Mapping) (*RankProgram, error) {
 	rows, cols := torusShape(p, m)
 	name := fmt.Sprintf("rs-torus%dx%d", rows, cols)
@@ -253,16 +206,8 @@ func torusARRounds(p, rows, cols, r int) [][]Step {
 	return append(rounds, unpack)
 }
 
-// TorusAllreduce compiles the torus allreduce: the two-phase
+// torusAllreduceRank compiles the torus allreduce: the two-phase
 // reduce-scatter followed by the mirror column- and row-ring allgathers.
-func TorusAllreduce(p int, m *topo.Mapping) (*Schedule, error) {
-	rows, cols := torusShape(p, m)
-	name := fmt.Sprintf("ar-torus%dx%d", rows, cols)
-	return assembleReduce(name, CollAllreduce, p, torusAllreduceScratch(p, rows), func(r int) [][]Step {
-		return torusARRounds(p, rows, cols, r)
-	}), nil
-}
-
 func torusAllreduceRank(p, r int, m *topo.Mapping) (*RankProgram, error) {
 	rows, cols := torusShape(p, m)
 	name := fmt.Sprintf("ar-torus%dx%d", rows, cols)
@@ -335,19 +280,9 @@ func hypercubeShape(p int) (int, error) {
 	return bits.Len(uint(p)) - 1, nil
 }
 
-// HypercubeReduceScatter compiles the recursive-halving reduce-scatter
+// hypercubeReduceScatterRank compiles the recursive-halving reduce-scatter
 // (p must be a power of two): log2(p) rounds, halving the live index
 // range and the message size each round.
-func HypercubeReduceScatter(p int, _ *topo.Mapping) (*Schedule, error) {
-	k, err := hypercubeShape(p)
-	if err != nil {
-		return nil, err
-	}
-	return assembleReduce("rs-hypercube", CollReduceScatter, p, hypercubeReduceScratch(p, k), func(r int) [][]Step {
-		return hypercubeRSRounds(p, k, r, recvRef(0, 1))
-	}), nil
-}
-
 func hypercubeReduceScatterRank(p, r int, _ *topo.Mapping) (*RankProgram, error) {
 	k, err := hypercubeShape(p)
 	if err != nil {
@@ -375,18 +310,8 @@ func hypercubeARRounds(p, k, r int) [][]Step {
 	return rounds
 }
 
-// HypercubeAllreduce compiles the hypercube allreduce (recursive halving
+// hypercubeAllreduceRank compiles the hypercube allreduce (recursive halving
 // + recursive doubling): 2 log2(p) rounds.
-func HypercubeAllreduce(p int, _ *topo.Mapping) (*Schedule, error) {
-	k, err := hypercubeShape(p)
-	if err != nil {
-		return nil, err
-	}
-	return assembleReduce("ar-hypercube", CollAllreduce, p, hypercubeReduceScratch(p, k), func(r int) [][]Step {
-		return hypercubeARRounds(p, k, r)
-	}), nil
-}
-
 func hypercubeAllreduceRank(p, r int, _ *topo.Mapping) (*RankProgram, error) {
 	k, err := hypercubeShape(p)
 	if err != nil {

@@ -9,18 +9,21 @@ import (
 	"alltoallx/internal/topo"
 )
 
-// This file is the rank-sliced counterpart of routes.go: it compiles one
-// rank's program of a route-based schedule without materializing all p×p
-// block paths. Where compileRoutes walks every (s, d) path and buckets
-// hops into per-round move lists, the slicers here answer the inverse
-// question — "which blocks depart from / arrive at rank x in round t?" —
-// in closed form per topology, so compiling rank x costs O(blocks routed
-// through x), not O(p^2 · diameter).
+// This file compiles one rank's program of a route-based schedule (the
+// block routes of routes.go) without materializing all p×p block paths.
+// Instead of walking every (s, d) path and bucketing hops into per-round
+// move lists, the slicers answer the inverse question — "which blocks
+// depart from / arrive at rank x in round t?" — in closed form per
+// topology, so compiling rank x costs O(blocks routed through x), not
+// O(p^2 · diameter). Hop h of every path executes in round h, and all
+// blocks moving between one rank pair in one round are packed into a
+// single message; compileRank emits the staging (a transit buffer
+// indexed by block identity, double-buffered receive packing) and the
+// pack/unpack copies. The verifier then proves the result correct.
 //
-// The two implementations are deliberately independent: compileRoutes
-// stays the authoritative path-materializing construction (proved by the
-// full verifier), and property tests pin compileRank byte-identical to
-// its slices at randomized shapes.
+// The path-materializing compiler survives as a test oracle
+// (routes_oracle_test.go): property tests pin compileRank byte-identical
+// to its slices at randomized and topology-shaped worlds.
 
 // rmsg is one packed message of a round: the peer and the identities
 // (s*p+d) of the blocks it carries, ascending.
@@ -31,12 +34,12 @@ type rmsg struct {
 
 // rankSlicer enumerates one topology's per-rank, per-round traffic.
 // outs/ins must return messages with peers ascending and block ids
-// ascending within each message — the compileRoutes order.
+// ascending within each message.
 type rankSlicer interface {
 	// rounds is the exchange round count (the longest route's hop count).
 	rounds() int
 	// packMax is the global staging bound: the largest per-rank, per-round
-	// packed block count over the whole world (compileRoutes' maxPack).
+	// packed block count over the whole world.
 	packMax() int
 	// outs lists the messages rank x sends in round t.
 	outs(x, t int) []rmsg
@@ -44,7 +47,7 @@ type rankSlicer interface {
 	ins(x, t int) []rmsg
 }
 
-// Scratch layout shared with compileRoutes: 0 = transit (slot s*p+d holds
+// Scratch layout of the route schedules: 0 = transit (slot s*p+d holds
 // block (s,d) between hops), 1 = pack-send staging, 2/3 = alternating
 // pack-recv staging.
 const (
@@ -54,7 +57,10 @@ const (
 )
 
 // compileRank emits rank r's program of the route schedule described by
-// sl, mirroring compileRoutes' per-rank step construction exactly.
+// sl: round t unpacks round t-1's arrivals (round 0 delivers the self
+// block instead), packs and sends the round's departures, and posts its
+// receives; a final copies-only round unpacks the last arrivals, all of
+// which are home.
 func compileRank(name string, p, r int, sl rankSlicer) *RankProgram {
 	maxHops := sl.rounds()
 	mp := sl.packMax()
@@ -125,8 +131,7 @@ func compileRank(name string, p, r int, sl rankSlicer) *RankProgram {
 	return rp
 }
 
-// sortBlocks orders block ids ascending (the in-message order
-// compileRoutes produces).
+// sortBlocks orders block ids ascending (the in-message order).
 func sortBlocks(b []int32) []int32 {
 	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
 	return b
@@ -211,6 +216,13 @@ func (s ringSlicer) traffic(x, t int, arrivals bool) []rmsg {
 func (s ringSlicer) outs(x, t int) []rmsg { return s.traffic(x, t, false) }
 func (s ringSlicer) ins(x, t int) []rmsg  { return s.traffic(x, t, true) }
 
+// ringRank compiles the direct-connect ring all-to-all: every block
+// travels the shortest way around a bidirectional ring, one hop per
+// round, and co-moving blocks share one message per link per round.
+// Per-rank wire volume is Theta(p^2/8) blocks — the ring's bisection
+// cost — against the direct exchange's p-1 single-block messages; the
+// trade is message count (2 per rank per round) for volume, exactly the
+// schedule family Basu et al. tune for direct-connect fabrics.
 func ringRank(p, r int, m *topo.Mapping) (*RankProgram, error) {
 	if p == 1 {
 		return pairwiseRank(p, r, m)
@@ -354,6 +366,11 @@ func (s torusSlicer) traffic(x, t int, arrivals bool) []rmsg {
 func (s torusSlicer) outs(x, t int) []rmsg { return s.traffic(x, t, false) }
 func (s torusSlicer) ins(x, t int) []rmsg  { return s.traffic(x, t, true) }
 
+// torusRank compiles the 2D-torus all-to-all: ranks form a rows x cols
+// torus (the node x ppn grid when the topology is known, else the
+// most-square factorization), and every block first rides the row ring
+// to its destination column, then the column ring to its destination
+// row.
 func torusRank(p, r int, m *topo.Mapping) (*RankProgram, error) {
 	rows, cols := torusShape(p, m)
 	if p == 1 {
@@ -502,6 +519,11 @@ func groupMsgs(byPeer map[int][]int32) []rmsg {
 	return sortMsgs(msgs)
 }
 
+// hypercubeRank compiles the multiport hypercube all-to-all (p must be a
+// power of two). Staggering each block's start bit by its source spreads
+// every round's traffic across all k links of every rank — the
+// multiport schedule — instead of serializing rounds onto one dimension
+// as the single-port (Bruck-style) exchange does.
 func hypercubeRank(p, r int, m *topo.Mapping) (*RankProgram, error) {
 	if p&(p-1) != 0 {
 		return nil, fmt.Errorf("sched: hypercube needs a power-of-two rank count, got %d", p)

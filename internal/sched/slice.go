@@ -6,12 +6,12 @@
 // schedule-backed algorithms scale to worlds where materializing (or
 // symbolically verifying) the assembled schedule is out of the question.
 //
-// The contract, enforced by property tests: for every generator and every
-// (p, rank, topology), GenerateRank is byte-identical to
-// Slice(Generate(...), rank). The classic generators share per-rank step
-// builders with Generate; the route-compiled families (ring, torus,
-// hypercube) have independent inverse-routing slicers in routeslice.go,
-// cross-checked against the path-materializing compiler.
+// GenerateRank is the only compiler: Generate assembles the whole world
+// from its rank programs, so Slice(Generate(...), rank) is GenerateRank's
+// output by construction. The route-compiled families (ring, torus,
+// hypercube) use closed-form inverse-routing slicers (routeslice.go);
+// property tests pin them byte-identical to an independent
+// path-materializing compiler kept as a test oracle.
 
 package sched
 
@@ -168,34 +168,16 @@ func (rp *RankProgram) MemBytes() int64 {
 		int64(len(rp.Scratch)+len(rp.VSend)+len(rp.VRecv))*8 + 128
 }
 
-// Steps returns the total step count of the schedule across all ranks.
-func (s *Schedule) Steps() int {
-	n := 0
-	for _, rd := range s.Rounds {
-		for _, steps := range rd.Steps {
-			n += len(steps)
-		}
-	}
-	return n
-}
-
-// MemBytes estimates the schedule's in-memory footprint, for cache byte
-// accounting.
-func (s *Schedule) MemBytes() int64 {
-	rows := 0
-	for _, rd := range s.Rounds {
-		rows += len(rd.Steps)
-	}
-	return int64(s.Steps())*stepBytes + int64(rows)*24 + int64(len(s.Scratch))*8 + 128
-}
-
 // Encode writes the rank program as versioned JSON (the Format field is
-// forced to FormatVersion).
+// written as FormatVersion). It does not modify rp: verified programs are
+// shared between concurrent callers — coalesced registry requests encode
+// the same instance.
 func (rp *RankProgram) Encode(w io.Writer) error {
-	rp.Format = FormatVersion
+	out := *rp
+	out.Format = FormatVersion
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(rp)
+	return enc.Encode(&out)
 }
 
 // DecodeRank reads one rank program from r, checking the format version
@@ -228,16 +210,13 @@ func (rp *RankProgram) Save(path string) error {
 type rankGenerator func(p, rank int, m *topo.Mapping) (*RankProgram, error)
 
 // GenerateRank compiles the named schedule's slice for one rank of a
-// p-rank world (m may be nil). The result is byte-identical to
+// p-rank world (m may be nil). The result is
 // Slice(Generate(name, p, m), rank) but costs O(slice): O(p) for
 // direct/pairwise, O(p log p) for bruck, and O(blocks routed through the
 // rank) for the route-compiled families — never O(p^2) memory.
 func GenerateRank(name string, p, rank int, m *topo.Mapping) (*RankProgram, error) {
-	e, ok := genRegistry[name]
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown generator %q (have %v)", name, AllGenerators())
-	}
-	if err := checkRanks(p); err != nil {
+	e, err := lookupGen(name, p)
+	if err != nil {
 		return nil, err
 	}
 	if rank < 0 || rank >= p {

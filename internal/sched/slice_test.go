@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"alltoallx/internal/comm"
@@ -23,16 +24,13 @@ func gridMapping(t *testing.T, nodes, ppn int) *topo.Mapping {
 	return m
 }
 
-// TestRankGeneratorsCoverRegistry pins every registry entry to a complete
-// pair of implementations: whole-world and rank-sliced.
+// TestRankGeneratorsCoverRegistry pins every registry entry to a rank
+// compiler and a valid collective.
 func TestRankGeneratorsCoverRegistry(t *testing.T) {
 	t.Parallel()
 	for name, e := range genRegistry {
-		if e.whole == nil {
-			t.Errorf("generator %q has no whole-world implementation", name)
-		}
 		if e.rank == nil {
-			t.Errorf("generator %q has no rank-sliced implementation", name)
+			t.Errorf("generator %q has no rank compiler", name)
 		}
 		if !e.coll.valid() {
 			t.Errorf("generator %q declares invalid collective %q", name, e.coll)
@@ -40,13 +38,29 @@ func TestRankGeneratorsCoverRegistry(t *testing.T) {
 	}
 }
 
+// reference returns the whole-world schedule GenerateRank is checked
+// against: the path-materializing oracle for the route-compiled
+// generators, Generate (the assembly of the rank programs) otherwise.
+func reference(name string, p int, m *topo.Mapping) (*Schedule, error) {
+	if oracle, ok := routeOracles[name]; ok {
+		return oracle(p, m)
+	}
+	return Generate(name, p, m)
+}
+
 // checkSliceIdentity asserts GenerateRank output is byte-identical to the
-// corresponding slice of Generate for every rank of the world.
+// corresponding slice of the reference schedule for every rank of the
+// world, and that Generate assembles exactly that reference.
 func checkSliceIdentity(t *testing.T, name string, p int, m *topo.Mapping) {
 	t.Helper()
-	s, err := Generate(name, p, m)
+	s, err := reference(name, p, m)
 	if err != nil {
+		t.Fatalf("%s p=%d: reference: %v", name, p, err)
+	}
+	if gen, err := Generate(name, p, m); err != nil {
 		t.Fatalf("%s p=%d: Generate: %v", name, p, err)
+	} else if !reflect.DeepEqual(gen, s) {
+		t.Fatalf("%s p=%d: Generate differs from the reference schedule", name, p)
 	}
 	for r := 0; r < p; r++ {
 		want, err := Slice(s, r)
@@ -79,11 +93,13 @@ func at(rounds [][]Step, ri int) []Step {
 }
 
 // TestGenerateRankMatchesGenerate is the oracle property test of the
-// sliced compilers: for every generator and a randomized set of (p, rank,
+// rank compilers: for every generator and a randomized set of (p, rank,
 // topology) shapes, GenerateRank output is byte-identical to the
-// corresponding slice of Generate. The route-based generators have fully
-// independent implementations (inverse routing vs path materialization),
-// so this is a real cross-check, not a tautology.
+// corresponding slice of the reference schedule, and Generate assembles
+// that same schedule. For ring, torus and hypercube the reference is the
+// path-materializing compiler, an independent implementation (path
+// walking vs inverse routing), so this is a real cross-check; for the
+// other generators it pins the assembly round trip.
 func TestGenerateRankMatchesGenerate(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(11))
@@ -251,6 +267,85 @@ func TestStreamVerifierRejections(t *testing.T) {
 	}
 }
 
+// swapTransitPair swaps the destinations of two unpack copies that park
+// in-transit blocks of the same round, so two forwarded blocks trade
+// places: a content misroute no single slice and no message multiset
+// can see.
+func swapTransitPair(t *testing.T, rp *RankProgram) {
+	t.Helper()
+	for ri, steps := range rp.Rounds {
+		var idx []int
+		for i, st := range steps {
+			if st.Kind == Copy && st.Dst.Buf == SpaceScratch+routeTransit && st.Src.Buf != SpaceScratch+routeTransit {
+				idx = append(idx, i)
+			}
+		}
+		if len(idx) >= 2 {
+			rp.Rounds[ri][idx[0]].Dst, rp.Rounds[ri][idx[1]].Dst = steps[idx[1]].Dst, steps[idx[0]].Dst
+			return
+		}
+	}
+	t.Fatalf("%s rank %d parks fewer than two blocks in transit in any round", rp.Name, rp.Rank)
+}
+
+// TestVerifyWorld pins the world gate: it accepts every generator on
+// both sides of FullVerifyRanks, refuses what the generator refuses,
+// and at small worlds runs the full content proof — a transit misroute
+// the streamed verifier accepts is rejected.
+func TestVerifyWorld(t *testing.T) {
+	t.Parallel()
+	for _, name := range AllGenerators() {
+		if err := VerifyWorld(name, 8, nil); err != nil {
+			t.Errorf("%s@8: %v", name, err)
+		}
+	}
+	if err := VerifyWorld("pairwise", FullVerifyRanks+1, nil); err != nil {
+		t.Errorf("pairwise above FullVerifyRanks: %v", err)
+	}
+	for _, bad := range []struct {
+		name string
+		p    int
+		want string
+	}{
+		{"hypercube", 6, "power-of-two"},
+		{"nope", 8, "unknown generator"},
+		{"ring", 0, "must be positive"},
+	} {
+		if err := VerifyWorld(bad.name, bad.p, nil); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("VerifyWorld(%s, %d) = %v, want an error mentioning %q", bad.name, bad.p, err, bad.want)
+		}
+	}
+
+	const p = 8
+	corrupted := func(r int) (*RankProgram, error) {
+		rp, err := GenerateRank("ring", p, r, nil)
+		if err == nil && r == 3 {
+			swapTransitPair(t, rp)
+		}
+		return rp, err
+	}
+	if err := streamPrograms(p, corrupted); err != nil {
+		t.Fatalf("streamed verifier rejected the transit misroute (%v): the case no longer separates the verifiers", err)
+	}
+	if err := VerifyPrograms(p, corrupted); err == nil || !strings.Contains(err.Error(), "failed verification") {
+		t.Fatalf("full proof accepted the transit misroute: %v", err)
+	}
+
+	// Every program must agree with rank 0's header, or the assembled
+	// world would not be the programs the ranks run.
+	drifted := func(r int) (*RankProgram, error) {
+		rp, err := GenerateRank("bruck", p, r, nil)
+		if err == nil && r == 5 {
+			rp.Scratch = append([]int(nil), rp.Scratch...)
+			rp.Scratch[0]++
+		}
+		return rp, err
+	}
+	if err := VerifyPrograms(p, drifted); err == nil || !strings.Contains(err.Error(), "header disagrees") {
+		t.Fatalf("scratch drift on one rank: %v", err)
+	}
+}
+
 // TestVerifyRankLocal: the single-slice entry point accepts generator
 // output and rejects local corruption.
 func TestVerifyRankLocal(t *testing.T) {
@@ -339,7 +434,6 @@ func TestRankProgramStats(t *testing.T) {
 	}
 	whole := s.Stats()
 	var msgs, copies, wire int
-	var mem int64
 	for r := 0; r < 10; r++ {
 		rp, err := Slice(s, r)
 		if err != nil {
@@ -355,14 +449,13 @@ func TestRankProgramStats(t *testing.T) {
 		if st.ScratchBlocks != whole.ScratchBlocks {
 			t.Errorf("rank %d scratch %d, schedule %d", r, st.ScratchBlocks, whole.ScratchBlocks)
 		}
-		mem += rp.MemBytes()
+		if rp.MemBytes() <= 0 {
+			t.Errorf("rank %d memory estimate %d B", r, rp.MemBytes())
+		}
 	}
 	if msgs != whole.Messages || copies != whole.Copies || wire != whole.WireBlocks {
 		t.Errorf("slice sums (msgs %d, copies %d, wire %d) != schedule stats (%d, %d, %d)",
 			msgs, copies, wire, whole.Messages, whole.Copies, whole.WireBlocks)
-	}
-	if mem <= s.MemBytes()/2 || s.MemBytes() <= 0 {
-		t.Errorf("memory estimates inconsistent: slices %d B, schedule %d B", mem, s.MemBytes())
 	}
 }
 

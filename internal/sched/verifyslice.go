@@ -35,10 +35,10 @@ import (
 //
 // What streaming cannot prove is that a multi-hop block arrives with the
 // right *content*, or that a wire-carried partial is complete (both need
-// cross-rank dataflow). Below core's slicing threshold the full verifier
-// remains authoritative, and property tests pin GenerateRank
-// byte-identical to Generate at randomized shapes — so the content proof
-// transfers to the sliced path by construction.
+// cross-rank dataflow). VerifyWorld therefore keeps the full verifier
+// authoritative up to FullVerifyRanks ranks: it runs Verify on the world
+// Generate assembles from the very GenerateRank programs the ranks then
+// execute, and streams only above that size.
 
 // VerifyRank runs every local check on one rank's program. It does not
 // prove cross-rank properties; stream all slices through a StreamVerifier
@@ -608,14 +608,66 @@ func (sv *StreamVerifier) Finish() error {
 	return nil
 }
 
+// FullVerifyRanks is the largest world VerifyWorld proves with the full
+// symbolic verifier. Its state is O(p · slots) — O(p^3) slots for the
+// route schedules — and it needs the assembled schedule in memory (the
+// ring schedule at 256 ranks is ~800 MB of steps), so larger worlds are
+// streamed instead.
+const FullVerifyRanks = 128
+
+// VerifyWorld is the world gate every consumer of rank programs passes
+// before running any of them: VerifyPrograms over the named generator's
+// GenerateRank programs. The verdict covers exactly the bytes
+// GenerateRank emits, since generation is deterministic.
+func VerifyWorld(name string, p int, m *topo.Mapping) error {
+	if _, err := lookupGen(name, p); err != nil {
+		return err
+	}
+	return VerifyPrograms(p, func(r int) (*RankProgram, error) { return GenerateRank(name, p, r, m) })
+}
+
+// VerifyPrograms proves the p-rank world whose rank-r program is
+// program(r). Up to FullVerifyRanks ranks it assembles the world and runs
+// the full symbolic Verify, content proof included; above that it
+// streams the programs through a StreamVerifier.
+func VerifyPrograms(p int, program func(rank int) (*RankProgram, error)) error {
+	if err := checkRanks(p); err != nil {
+		return err
+	}
+	if p > FullVerifyRanks {
+		return streamPrograms(p, program)
+	}
+	rps := make([]*RankProgram, p)
+	for r := range rps {
+		rp, err := program(r)
+		if err != nil {
+			return err
+		}
+		rps[r] = rp
+	}
+	s, err := assemble(rps)
+	if err == nil {
+		err = Verify(s)
+	}
+	if err != nil {
+		return fmt.Errorf("sched: %s at %d ranks failed verification: %w", rps[0].Name, p, err)
+	}
+	return nil
+}
+
 // VerifyWorldSliced streams every rank's GenerateRank slice of the named
 // generator through a StreamVerifier: the large-world verification mode.
 // Memory stays O(p + one slice); time is O(total schedule size) — the
 // same steps the world will execute, never the assembled schedule.
 func VerifyWorldSliced(name string, p int, m *topo.Mapping) error {
+	return streamPrograms(p, func(r int) (*RankProgram, error) { return GenerateRank(name, p, r, m) })
+}
+
+// streamPrograms adds program(r) for every rank to one StreamVerifier.
+func streamPrograms(p int, program func(rank int) (*RankProgram, error)) error {
 	sv := NewStreamVerifier(p)
 	for r := 0; r < p; r++ {
-		rp, err := GenerateRank(name, p, r, m)
+		rp, err := program(r)
 		if err != nil {
 			return err
 		}

@@ -19,21 +19,15 @@ import (
 	"alltoallx/internal/singleflight"
 )
 
-// SliceRanks is the whole-world compilation ceiling, mirroring the
-// in-process threshold of internal/core (schedSliceRanks): at or below
-// it a registry miss compiles and verifies the assembled schedule and
-// persists every rank's slice in one pass; above it, the world is
-// verified once by the streaming verifier and rank programs are
-// compiled individually on demand — O(slice), never O(p^2).
-const SliceRanks = 128
-
 // Test seams: the compilation entry points, swappable so tests can
 // count generator invocations and prove the exactly-once guarantee
-// (a second process serving from disk must never reach these).
+// (a second process serving from disk must never reach these). A miss
+// proves the world once with sched.VerifyWorld, persisted as the
+// VERIFIED marker, then compiles the requested rank's program on
+// demand — O(slice), never O(p^2) retained.
 var (
-	generate          = sched.Generate
-	generateRank      = sched.GenerateRank
-	verifyWorldSliced = sched.VerifyWorldSliced
+	generateRank = sched.GenerateRank
+	proveWorld   = sched.VerifyWorld
 )
 
 // Stats are the registry's lifetime counters (per Registry instance,
@@ -47,8 +41,8 @@ type Stats struct {
 	Misses int64 `json:"misses"`
 	// NegativeHits counts lookups answered by a REJECTED marker.
 	NegativeHits int64 `json:"negative_hits"`
-	// Compiles counts generator invocations (whole worlds and single
-	// rank slices alike).
+	// Compiles counts rank programs compiled on a miss (the world
+	// verification that precedes the first is not counted).
 	Compiles int64 `json:"compiles"`
 }
 
@@ -207,8 +201,8 @@ func hexSum(b []byte) string {
 }
 
 // GetOrCompile serves k, compiling on a registry miss. Concurrent
-// callers for the same world (small path) or the same rank (large
-// path) coalesce into one compilation; a generator rejection is
+// callers for the same world coalesce into one world verification, and
+// for the same rank into one compilation; a generator rejection is
 // persisted as a REJECTED marker so no process ever re-runs a
 // generator against a world it cannot handle.
 func (r *Registry) GetOrCompile(k Key) (*sched.RankProgram, error) {
@@ -219,73 +213,22 @@ func (r *Registry) GetOrCompile(k Key) (*sched.RankProgram, error) {
 		return rp, err
 	}
 	r.misses.Add(1)
-	if k.Ranks <= SliceRanks {
-		if _, err, _ := r.fl.Do("world|"+r.worldDir(k), func() (any, error) {
-			return nil, r.compileWorld(k)
-		}); err != nil {
-			return nil, err
-		}
-	} else {
-		if _, err, _ := r.fl.Do("verify|"+r.worldDir(k), func() (any, error) {
-			return nil, r.verifyWorld(k)
-		}); err != nil {
-			return nil, err
-		}
-		v, err, _ := r.fl.Do("rank|"+r.refPath(k), func() (any, error) {
-			return r.compileRank(k)
-		})
-		if err != nil {
-			return nil, err
-		}
-		if rp, ok := v.(*sched.RankProgram); ok && rp != nil {
-			return rp, nil
-		}
+	if _, err, _ := r.fl.Do("verify|"+r.worldDir(k), func() (any, error) {
+		return nil, r.verifyWorld(k)
+	}); err != nil {
+		return nil, err
 	}
-	rp, err, ok := r.lookup(k)
-	if !ok {
-		return nil, fmt.Errorf("schedreg: %s: compiled but absent from the registry", k)
+	v, err, _ := r.fl.Do("rank|"+r.refPath(k), func() (any, error) {
+		return r.compileRank(k)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return rp, err
+	return v.(*sched.RankProgram), nil
 }
 
-// compileWorld is the at-or-below-threshold miss path: compile the
-// assembled schedule, verify it, persist every rank's slice, then mark
-// the world VERIFIED. Joiners (and restarted processes) re-read from
-// disk. Idempotent: a concurrent or earlier writer leaves identical
-// content-addressed state.
-func (r *Registry) compileWorld(k Key) error {
-	if _, err := os.Stat(r.verifiedPath(k)); err == nil {
-		return nil // another instance finished the world while we queued
-	}
-	m, err := k.Mapping()
-	if err != nil {
-		return err
-	}
-	r.compiles.Add(1)
-	s, err := generate(k.Gen, k.Ranks, m)
-	if err != nil {
-		return r.reject(k, err)
-	}
-	if err := sched.Verify(s); err != nil {
-		return r.reject(k, fmt.Errorf("failed verification: %w", err))
-	}
-	for rank := 0; rank < k.Ranks; rank++ {
-		rp, err := sched.Slice(s, rank)
-		if err != nil {
-			return fmt.Errorf("schedreg: %s@%s rank %d: %w", k.Gen, k.World(), rank, err)
-		}
-		rk := k
-		rk.Rank = rank
-		if err := r.putProgram(rk, rp); err != nil {
-			return err
-		}
-	}
-	return r.markVerified(k)
-}
-
-// verifyWorld is the above-threshold world gate: one streaming
-// cross-rank verification per world, persisted as the VERIFIED marker
-// so later processes skip it entirely.
+// verifyWorld is the world gate: one sched.VerifyWorld per world,
+// persisted as the VERIFIED marker so later processes skip it entirely.
 func (r *Registry) verifyWorld(k Key) error {
 	if _, err := os.Stat(r.verifiedPath(k)); err == nil {
 		return nil
@@ -294,16 +237,21 @@ func (r *Registry) verifyWorld(k Key) error {
 	if err != nil {
 		return err
 	}
-	if err := verifyWorldSliced(k.Gen, k.Ranks, m); err != nil {
-		return r.reject(k, fmt.Errorf("failed streamed verification: %w", err))
+	if err := proveWorld(k.Gen, k.Ranks, m); err != nil {
+		return r.reject(k, err)
 	}
 	return r.markVerified(k)
 }
 
-// compileRank is the above-threshold per-rank miss path. The world is
-// already VERIFIED (verifyWorld ran the identical local checks on every
-// slice, and generation is deterministic), so no per-slice re-check.
+// compileRank is the per-rank miss path. The world is already VERIFIED
+// (verifyWorld checked every rank's program, and generation is
+// deterministic), so no per-slice re-check. A caller that missed Lookup
+// while an earlier flight for the same rank was persisting it is served
+// from disk.
 func (r *Registry) compileRank(k Key) (*sched.RankProgram, error) {
+	if rp, err, ok := r.lookup(k); ok {
+		return rp, err
+	}
 	m, err := k.Mapping()
 	if err != nil {
 		return nil, err

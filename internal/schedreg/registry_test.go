@@ -21,27 +21,32 @@ import (
 // install counters must not run in parallel (the seams are package
 // globals).
 type seamCounters struct {
-	generates, rankGenerates, worldVerifies atomic.Int64
+	rankGenerates, worldVerifies atomic.Int64
 }
 
 func countSeams(t *testing.T) *seamCounters {
 	t.Helper()
 	var c seamCounters
-	og, ogr, ovw := generate, generateRank, verifyWorldSliced
-	generate = func(name string, p int, m *topo.Mapping) (*sched.Schedule, error) {
-		c.generates.Add(1)
-		return og(name, p, m)
-	}
+	ogr, ovw := generateRank, proveWorld
 	generateRank = func(name string, p, rank int, m *topo.Mapping) (*sched.RankProgram, error) {
 		c.rankGenerates.Add(1)
 		return ogr(name, p, rank, m)
 	}
-	verifyWorldSliced = func(name string, p int, m *topo.Mapping) error {
+	proveWorld = func(name string, p int, m *topo.Mapping) error {
 		c.worldVerifies.Add(1)
 		return ovw(name, p, m)
 	}
-	t.Cleanup(func() { generate, generateRank, verifyWorldSliced = og, ogr, ovw })
+	t.Cleanup(func() { generateRank, proveWorld = ogr, ovw })
 	return &c
+}
+
+// wantWork asserts the seam counts so far: world verifications and rank
+// compilations.
+func (c *seamCounters) wantWork(t *testing.T, what string, verifies, compiles int64) {
+	t.Helper()
+	if v, g := c.worldVerifies.Load(), c.rankGenerates.Load(); v != verifies || g != compiles {
+		t.Fatalf("%s: %d world verifications and %d rank compiles, want %d and %d", what, v, g, verifies, compiles)
+	}
 }
 
 func mustMapping(t *testing.T, nodes, ppn int) *topo.Mapping {
@@ -85,9 +90,7 @@ func TestGetOrCompileRoundTrip(t *testing.T) {
 	if !bytes.Equal(encodeRP(t, rp), encodeRP(t, want)) {
 		t.Fatal("registry program differs from direct generation")
 	}
-	if got := c.generates.Load(); got != 1 {
-		t.Fatalf("whole-world generator ran %d times, want 1", got)
-	}
+	c.wantWork(t, "cold fetch", 1, 1)
 
 	rp2, err := reg.GetOrCompile(k)
 	if err != nil {
@@ -96,9 +99,7 @@ func TestGetOrCompileRoundTrip(t *testing.T) {
 	if !bytes.Equal(encodeRP(t, rp2), encodeRP(t, want)) {
 		t.Fatal("second fetch differs")
 	}
-	if got := c.generates.Load(); got != 1 {
-		t.Fatalf("second fetch re-ran the generator (%d runs)", got)
-	}
+	c.wantWork(t, "second fetch", 1, 1)
 	st := reg.Stats()
 	if st.Misses != 1 || st.Hits != 1 || st.Compiles != 1 {
 		t.Fatalf("stats = %+v, want 1 miss, 1 hit, 1 compile", st)
@@ -123,9 +124,7 @@ func TestCompileOnceAcrossRegistryInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.generates.Load() + c.rankGenerates.Load(); got != 1 {
-		t.Fatalf("first instance invoked generators %d times, want 1", got)
-	}
+	c.wantWork(t, "first instance", 1, 1)
 
 	reg2, err := Open(root) // a second process: fresh instance, same root
 	if err != nil {
@@ -135,25 +134,25 @@ func TestCompileOnceAcrossRegistryInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.generates.Load() + c.rankGenerates.Load(); got != 1 {
-		t.Fatalf("second instance invoked generators (total %d runs, want 1)", got)
-	}
+	c.wantWork(t, "second instance", 1, 1)
 	if !bytes.Equal(encodeRP(t, first), encodeRP(t, second)) {
 		t.Fatal("instances disagree on program bytes")
 	}
 	if st := reg2.Stats(); st.Hits != 1 || st.Misses != 0 || st.Compiles != 0 {
 		t.Fatalf("second instance stats = %+v, want a pure hit", st)
 	}
-	// Every sibling rank was persisted by the world compilation: rank 6
-	// is a hit too, still with no generator run.
+	// A sibling rank reuses the VERIFIED marker but compiles its own
+	// program, once: a third instance serves it from disk.
 	k6 := k
 	k6.Rank = 6
 	if _, err := reg2.GetOrCompile(k6); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.generates.Load() + c.rankGenerates.Load(); got != 1 {
-		t.Fatalf("sibling rank fetch invoked generators (total %d runs)", got)
+	c.wantWork(t, "sibling rank", 1, 2)
+	if _, err := Open2(t, root).GetOrCompile(k6); err != nil {
+		t.Fatal(err)
 	}
+	c.wantWork(t, "sibling rank from a third instance", 1, 2)
 }
 
 // TestNegativeCache: a rejected world is persisted; later instances
@@ -171,9 +170,7 @@ func TestNegativeCache(t *testing.T) {
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("want ErrRejected, got %v", err)
 	}
-	if got := c.generates.Load(); got != 1 {
-		t.Fatalf("generator ran %d times, want 1", got)
-	}
+	c.wantWork(t, "rejection", 1, 0)
 
 	reg2, err := Open(root)
 	if err != nil {
@@ -188,21 +185,20 @@ func TestNegativeCache(t *testing.T) {
 			t.Errorf("rejection %q does not mention %q", err, frag)
 		}
 	}
-	if got := c.generates.Load(); got != 1 {
-		t.Fatalf("second instance re-ran the generator (%d runs)", got)
-	}
+	c.wantWork(t, "second instance", 1, 0)
 	if st := reg2.Stats(); st.NegativeHits != 1 || st.Compiles != 0 {
 		t.Fatalf("second instance stats = %+v, want 1 negative hit, 0 compiles", st)
 	}
 }
 
-// TestLargeWorldSlicedPath: above SliceRanks the registry verifies the
-// world once (streamed) and compiles only the requested rank's slice —
-// and a restarted instance reuses both the marker and the slice.
+// TestLargeWorldSlicedPath: above sched.FullVerifyRanks the registry
+// verifies the world once (streamed) and compiles only the requested
+// rank's program — and a restarted instance reuses both the marker and
+// the program.
 func TestLargeWorldSlicedPath(t *testing.T) {
 	c := countSeams(t)
 	root := t.TempDir()
-	p := SliceRanks + 2
+	p := sched.FullVerifyRanks + 2
 	k := KeyFor("direct", p, nil, 7)
 
 	reg1, err := Open(root)
@@ -220,22 +216,14 @@ func TestLargeWorldSlicedPath(t *testing.T) {
 	if !bytes.Equal(encodeRP(t, rp), encodeRP(t, want)) {
 		t.Fatal("sliced-path program differs from direct generation")
 	}
-	if c.generates.Load() != 0 {
-		t.Fatal("sliced path materialized the whole world")
-	}
-	if got := c.worldVerifies.Load(); got != 1 {
-		t.Fatalf("streamed verification ran %d times, want 1", got)
-	}
-	if got := c.rankGenerates.Load(); got != 1 {
-		t.Fatalf("rank generator ran %d times, want 1", got)
-	}
+	c.wantWork(t, "cold fetch", 1, 1)
 	// Only the requested rank was persisted.
 	refs, err := filepath.Glob(filepath.Join(root, "keys", "direct", k.World(), "rank-*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(refs) != 1 {
-		t.Fatalf("found %d rank refs, want 1 (on-demand slicing)", len(refs))
+		t.Fatalf("found %d rank refs, want 1 (on-demand compilation)", len(refs))
 	}
 
 	reg2, err := Open(root)
@@ -245,27 +233,19 @@ func TestLargeWorldSlicedPath(t *testing.T) {
 	if _, err := reg2.GetOrCompile(k); err != nil {
 		t.Fatal(err)
 	}
-	if c.worldVerifies.Load() != 1 || c.rankGenerates.Load() != 1 {
-		t.Fatalf("restart re-did work: %d verifies, %d rank compiles",
-			c.worldVerifies.Load(), c.rankGenerates.Load())
-	}
+	c.wantWork(t, "restart", 1, 1)
 	// A sibling rank reuses the VERIFIED marker but compiles its own slice.
 	k9 := k
 	k9.Rank = 9
 	if _, err := reg2.GetOrCompile(k9); err != nil {
 		t.Fatal(err)
 	}
-	if c.worldVerifies.Load() != 1 {
-		t.Fatal("sibling rank re-verified the world")
-	}
-	if got := c.rankGenerates.Load(); got != 2 {
-		t.Fatalf("rank generator ran %d times, want 2", got)
-	}
+	c.wantWork(t, "sibling rank", 1, 2)
 }
 
 // TestConcurrentGetOrCompile: goroutines racing on the same and
-// different ranks of one world produce one world compilation and
-// byte-identical programs. Run with -race.
+// different ranks of one world produce one world verification, one
+// compilation per rank and byte-identical programs. Run with -race.
 func TestConcurrentGetOrCompile(t *testing.T) {
 	c := countSeams(t)
 	reg, err := Open(t.TempDir())
@@ -301,9 +281,7 @@ func TestConcurrentGetOrCompile(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", i, err)
 		}
 	}
-	if got := c.generates.Load(); got != 1 {
-		t.Fatalf("generator ran %d times under contention, want 1", got)
-	}
+	c.wantWork(t, "under contention", 1, 16)
 	for i := 0; i < goroutines; i++ {
 		j := (i + 16) % goroutines // same rank, different goroutine
 		if !bytes.Equal(progs[i], progs[j]) {
@@ -421,8 +399,8 @@ func TestList(t *testing.T) {
 	if ring.Gen != "ring" || ring.World != "p8-2x4" || !ring.Verified || ring.Rejected {
 		t.Fatalf("ring entry = %+v", ring)
 	}
-	if ring.Programs != 8 || ring.Bytes <= 0 {
-		t.Fatalf("ring entry = %+v, want 8 programs with bytes", ring)
+	if ring.Programs != 1 || ring.Bytes <= 0 {
+		t.Fatalf("ring entry = %+v, want the 1 fetched program with bytes", ring)
 	}
 	_ = fmt.Sprint(entries)
 }

@@ -48,9 +48,7 @@ func TestServerFetchRoundTrip(t *testing.T) {
 	if _, err := cl.Fetch("torus", 12, m, 5); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.generates.Load(); got != 1 {
-		t.Fatalf("generator ran %d times, want 1", got)
-	}
+	c.wantWork(t, "two fetches", 1, 1)
 	if st := reg.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit, 1 miss", st)
 	}
@@ -96,16 +94,16 @@ func TestServerAdmissionControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm one world, then wedge the generator.
+	// Warm one world, then wedge the world gate.
 	if _, err := reg.GetOrCompile(KeyFor("ring", 8, nil, 1)); err != nil {
 		t.Fatal(err)
 	}
 	enter, release := make(chan struct{}, 1), make(chan struct{})
-	og := generate
-	generate = func(name string, p int, m *topo.Mapping) (*sched.Schedule, error) {
+	ovw := proveWorld
+	proveWorld = func(name string, p int, m *topo.Mapping) error {
 		enter <- struct{}{}
 		<-release
-		return og(name, p, m)
+		return ovw(name, p, m)
 	}
 	srv := httptest.NewServer(NewServer(reg, 1))
 	t.Cleanup(srv.Close)
@@ -129,7 +127,7 @@ func TestServerAdmissionControl(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("wedged compile finished with %v", err)
 	}
-	generate = og // un-wedge so the next cold compile runs through
+	proveWorld = ovw // un-wedge so the next cold compile runs through
 	if _, err := cl.Fetch("direct", 8, nil, 0); err != nil {
 		t.Fatalf("slot not released: %v", err)
 	}

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -173,6 +176,43 @@ func TestServerBatch(t *testing.T) {
 	}
 	if br.Errors[2] == "" || !strings.Contains(br.Errors[2], "rank out of range") {
 		t.Fatalf("rank 8 error = %q, want out-of-range", br.Errors[2])
+	}
+}
+
+// update regenerates the golden /v1/batch response:
+//
+//	go test ./internal/schedreg -run TestServerBatchBytes -update
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
+
+// TestServerBatchBytes pins the /v1/batch response byte for byte: a
+// reduction world (operator labels on its steps) plus one out-of-range
+// rank, so the programs and the per-rank errors both appear.
+func TestServerBatchBytes(t *testing.T) {
+	reg, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(batchRequest{Gen: "rs-ring", Ranks: 6, Want: []int{1, 4, 6}})
+	rec := httptest.NewRecorder()
+	NewServer(reg, 1).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch answered %d: %s", rec.Code, rec.Body)
+	}
+	path := filepath.Join("testdata", "batch_rsring6.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, rec.Body.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatalf("/v1/batch response differs from %s:\n%s", path, rec.Body)
 	}
 }
 

@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 
 	"alltoallx/internal/artifact"
 )
@@ -159,7 +160,14 @@ type Ref struct {
 
 // MarshalJSON encodes the ref as [buf, off, n].
 func (r Ref) MarshalJSON() ([]byte, error) {
-	return json.Marshal([3]int{r.Buf, r.Off, r.N})
+	b := make([]byte, 0, 16)
+	b = append(b, '[')
+	b = strconv.AppendInt(b, int64(r.Buf), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(r.Off), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(r.N), 10)
+	return append(b, ']'), nil
 }
 
 // UnmarshalJSON decodes the [buf, off, n] form.

@@ -16,10 +16,8 @@
 package sched
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 
 	"alltoallx/internal/artifact"
@@ -166,38 +164,6 @@ const stepBytes = 96
 func (rp *RankProgram) MemBytes() int64 {
 	return int64(rp.Steps())*stepBytes + int64(len(rp.Rounds))*24 +
 		int64(len(rp.Scratch)+len(rp.VSend)+len(rp.VRecv))*8 + 128
-}
-
-// Encode writes the rank program as versioned JSON (the Format field is
-// written as FormatVersion). It does not modify rp: verified programs are
-// shared between concurrent callers — coalesced registry requests encode
-// the same instance.
-func (rp *RankProgram) Encode(w io.Writer) error {
-	out := *rp
-	out.Format = FormatVersion
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(&out)
-}
-
-// DecodeRank reads one rank program from r, checking the format version
-// and basic shape (like Decode, it stays cheap; run VerifyRank for the
-// local correctness checks).
-func DecodeRank(r io.Reader) (*RankProgram, error) {
-	var rp RankProgram
-	if err := json.NewDecoder(r).Decode(&rp); err != nil {
-		return nil, fmt.Errorf("sched: decoding rank program: %w", err)
-	}
-	if !formatReadable(rp.Format) {
-		return nil, fmt.Errorf("sched: rank program format %d, this build reads formats 1-%d — regenerate with a2asched slice", rp.Format, FormatVersion)
-	}
-	if rp.Ranks <= 0 {
-		return nil, fmt.Errorf("sched: rank program has invalid rank count %d", rp.Ranks)
-	}
-	if rp.Rank < 0 || rp.Rank >= rp.Ranks {
-		return nil, fmt.Errorf("sched: rank program rank %d out of range 0..%d", rp.Rank, rp.Ranks-1)
-	}
-	return &rp, nil
 }
 
 // Save writes the rank program to path atomically (the shared artifact

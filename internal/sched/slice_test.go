@@ -494,10 +494,11 @@ func TestGenerateRankAt4096(t *testing.T) {
 
 // TestStreamVerifyLargeWorld streams a full 4096-rank world through the
 // incremental verifier — O(p) memory where the full verifier would need
-// O(p^2) state per rank. ~15 s of work, so -short skips it.
+// O(p^2) state per rank. It takes 15 s alone on a 2-vCPU x86-64 host,
+// so -short skips it.
 func TestStreamVerifyLargeWorld(t *testing.T) {
 	if testing.Short() {
-		t.Skip("4096-rank streamed verification (~15 s) skipped in -short mode")
+		t.Skip("4096-rank streamed verification (15 s) skipped in -short mode")
 	}
 	t.Parallel()
 	if err := VerifyWorldSliced("pairwise", 4096, nil); err != nil {

@@ -217,9 +217,55 @@ func newVerifier(s *Schedule) *verifier {
 	return v
 }
 
+// site names what a verifier check is about: a step (optionally its src
+// or dst ref), a round's delivery at one rank, or one message. Checks
+// pass it by value and format it (via String) only when they fail, so a
+// successful verification pays no formatting per step.
+type site struct {
+	form        siteForm
+	round, rank int
+	// n is the step index of a step site and the receiving rank of a
+	// message site.
+	n    int
+	kind Kind
+	part string
+}
+
+type siteForm uint8
+
+const (
+	siteStep siteForm = iota
+	siteDelivery
+	siteMessage
+)
+
+func stepSite(round, rank, step int, kind Kind) site {
+	return site{form: siteStep, round: round, rank: rank, n: step, kind: kind}
+}
+
+func deliverySite(round, rank int) site { return site{form: siteDelivery, round: round, rank: rank} }
+
+func messageSite(round, from, to int) site {
+	return site{form: siteMessage, round: round, rank: from, n: to}
+}
+
+// src and dst narrow a step site to one of its refs.
+func (w site) src() site { w.part = " src"; return w }
+func (w site) dst() site { w.part = " dst"; return w }
+
+func (w site) String() string {
+	switch w.form {
+	case siteDelivery:
+		return fmt.Sprintf("sched: round %d rank %d delivery", w.round, w.rank)
+	case siteMessage:
+		return fmt.Sprintf("sched: round %d message %d->%d", w.round, w.rank, w.n)
+	}
+	return fmt.Sprintf("sched: round %d rank %d step %d (%s)%s", w.round, w.rank, w.n, w.kind, w.part)
+}
+
 // checkRef validates a buffer reference against rank's space layout and
 // returns its first slot index.
-func (v *verifier) checkRef(rank int, ref Ref, where string) (int, error) {
+func (v *verifier) checkRef(rank int, ref Ref, where site) (int, error) {
 	var size, base int
 	switch {
 	case ref.Buf == SpaceSend:
@@ -271,7 +317,7 @@ func (v *verifier) round(ri int) error {
 			if step.Kind != Recv && step.Kind != SendRecv {
 				continue
 			}
-			where := fmt.Sprintf("sched: round %d rank %d step %d (%s) dst", ri, r, si, step.Kind)
+			where := stepSite(ri, r, si, step.Kind).dst()
 			slot, err := v.checkRef(r, step.Dst, where)
 			if err != nil {
 				return err
@@ -301,14 +347,14 @@ func (v *verifier) round(ri int) error {
 	// position.
 	for r := 0; r < v.p; r++ {
 		for si, step := range rd.Steps[r] {
-			where := fmt.Sprintf("sched: round %d rank %d step %d (%s)", ri, r, si, step.Kind)
+			where := stepSite(ri, r, si, step.Kind)
 			switch step.Kind {
 			case Copy, Reduce:
-				src, err := v.checkRef(r, step.Src, where+" src")
+				src, err := v.checkRef(r, step.Src, where.src())
 				if err != nil {
 					return err
 				}
-				dst, err := v.checkRef(r, step.Dst, where+" dst")
+				dst, err := v.checkRef(r, step.Dst, where.dst())
 				if err != nil {
 					return err
 				}
@@ -359,7 +405,7 @@ func (v *verifier) round(ri int) error {
 					}
 				}
 			case Send, SendRecv:
-				src, err := v.checkRef(r, step.Src, where+" src")
+				src, err := v.checkRef(r, step.Src, where.src())
 				if err != nil {
 					return err
 				}
@@ -410,7 +456,7 @@ func (v *verifier) round(ri int) error {
 	// Deliver: receive payloads land at the round's wait.
 	for key, rv := range recvs {
 		payload := sends[key]
-		where := fmt.Sprintf("sched: round %d message %d->%d", ri, key.from, key.to)
+		where := messageSite(ri, key.from, key.to)
 		for k, val := range payload {
 			if err := v.write(rv.rank, rv.slot+k, val, where); err != nil {
 				return err
@@ -423,7 +469,7 @@ func (v *verifier) round(ri int) error {
 // combine forms the partial a Reduce step leaves at the destination slot:
 // both operands must be partials of the same result block with disjoint
 // contributor sets (a shared contributor would enter the sum twice).
-func (v *verifier) combine(rank, dstSlot int, srcVal int64, where string) (int64, error) {
+func (v *verifier) combine(rank, dstSlot int, srcVal int64, where site) (int64, error) {
 	dstVal := v.state[rank][dstSlot]
 	if dstVal == undef {
 		return 0, fmt.Errorf("%s: reduces into undefined data at slot %d", where, dstSlot)
@@ -446,7 +492,7 @@ func (v *verifier) combine(rank, dstSlot int, srcVal int64, where string) (int64
 
 // write updates a slot, enforcing the exactly-once discipline and the
 // final-content contract on the recv space.
-func (v *verifier) write(rank, slot int, val int64, where string) error {
+func (v *verifier) write(rank, slot int, val int64, where site) error {
 	if rb := v.recvSlotBase(rank); slot >= rb && slot < rb+v.recvSize[rank] {
 		d := slot - rb
 		v.recvWritten[rank][d]++

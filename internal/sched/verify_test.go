@@ -284,3 +284,39 @@ func TestVerifyRejectsSameRoundRaces(t *testing.T) {
 		}
 	})
 }
+
+// TestVerifierSiteText pins the context prefix of verifier errors, which
+// is formatted only on failure: each site form renders exactly the text
+// the verifiers have always printed, and both verifiers report a bad ref
+// under it.
+func TestVerifierSiteText(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		got  site
+		want string
+	}{
+		{stepSite(3, 17, 2, SendRecv), "sched: round 3 rank 17 step 2 (sendrecv)"},
+		{stepSite(0, 1, 0, Copy).src(), "sched: round 0 rank 1 step 0 (copy) src"},
+		{stepSite(5, 0, 9, Kind("bogus")).dst(), "sched: round 5 rank 0 step 9 (bogus) dst"},
+		{deliverySite(4, 9), "sched: round 4 rank 9 delivery"},
+		{messageSite(1, 5, 6), "sched: round 1 message 5->6"},
+	} {
+		if got := c.got.String(); got != c.want {
+			t.Errorf("site renders %q, want %q", got, c.want)
+		}
+	}
+
+	s := mustGen(t, "pairwise", 4)
+	s.Rounds[0].Steps[2][0].Src.N = 99
+	const want = "sched: round 0 rank 2 step 0 (copy) src: range 2+99 out of space 0 (4 blocks)"
+	if err := Verify(s); err == nil || err.Error() != want {
+		t.Errorf("Verify: %v, want %q", err, want)
+	}
+	rp, err := Slice(s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyRank(rp); err == nil || err.Error() != want {
+		t.Errorf("VerifyRank: %v, want %q", err, want)
+	}
+}

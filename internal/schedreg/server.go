@@ -148,12 +148,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 			resp.Errors[i] = err.Error()
 			continue
 		}
-		b, err := json.Marshal(rp)
-		if err != nil {
-			resp.Errors[i] = fmt.Sprintf("schedreg: %s: encoding program: %v", k, err)
-			continue
-		}
-		resp.Programs[i] = b
+		// writeJSON compacts each program and re-indents it with the
+		// rest of the response, so the program's own layout never shows.
+		resp.Programs[i] = rp.AppendJSON(nil)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

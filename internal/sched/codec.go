@@ -272,27 +272,27 @@ func (d *rankScanner) program() (*RankProgram, error) {
 				return nil, d.errorf("data after the rank program")
 			}
 			return rp, nil
-		case 0:
+		case 0: // format
 			rp.Format, err = d.int()
-		case 1:
-			rp.Name, err = d.string()
-		case 2:
+		case 1: // name
+			rp.Name, err = d.str()
+		case 2: // ranks
 			rp.Ranks, err = d.int()
-		case 3:
+		case 3: // rank
 			rp.Rank, err = d.int()
-		case 4:
+		case 4: // coll
 			var c string
-			c, err = d.string()
+			c, err = d.str()
 			rp.Coll = Coll(c)
-		case 5:
-			rp.Op, err = d.string()
-		case 6:
+		case 5: // op
+			rp.Op, err = d.str()
+		case 6: // vsend
 			rp.VSend, err = d.ints()
-		case 7:
+		case 7: // vrecv
 			rp.VRecv, err = d.ints()
-		case 8:
+		case 8: // scratch
 			rp.Scratch, err = d.ints()
-		case 9:
+		case 9: // rounds
 			rp.Rounds, err = d.rounds()
 		}
 		if err != nil {
@@ -383,20 +383,20 @@ func (d *rankScanner) step() (Step, error) {
 			return s, err
 		}
 		switch key {
-		case 0:
+		case 0: // k
 			var k string
-			k, err = d.string()
+			k, err = d.str()
 			s.Kind = Kind(k)
-		case 1:
+		case 1: // t
 			s.To, err = d.int()
-		case 2:
+		case 2: // f
 			s.From, err = d.int()
-		case 3:
+		case 3: // s
 			s.Src, err = d.ref()
-		case 4:
+		case 4: // d
 			s.Dst, err = d.ref()
-		case 5:
-			s.Op, err = d.string()
+		case 5: // o
+			s.Op, err = d.str()
 		}
 		if err != nil {
 			return s, err
@@ -544,10 +544,10 @@ func (d *rankScanner) int() (int, error) {
 	return v, nil
 }
 
-// string reads a JSON string. The labels every program repeats (step
+// str reads a JSON string. The labels every program repeats (step
 // kinds, the operator) come back as the package's constants rather
 // than fresh allocations.
-func (d *rankScanner) string() (string, error) {
+func (d *rankScanner) str() (string, error) {
 	b, err := d.quoted()
 	if err != nil {
 		return "", err

@@ -15,13 +15,11 @@ import (
 
 // rankProgramJSON is RankProgram stripped of its methods: encoding/json
 // sees only the struct tags and encodes and decodes it by reflection.
-// That reflection codec was the wire format's original implementation;
-// it survives here as the oracle the hand-written codec must reproduce
-// byte for byte.
+// That reflection codec defines the wire format; it is the oracle the
+// hand-written codec must reproduce byte for byte.
 type rankProgramJSON RankProgram
 
-// encodeRankJSON is the reference encoding of rp: what Encode wrote
-// before the hand-written codec.
+// encodeRankJSON is the reference encoding of rp.
 func encodeRankJSON(rp *RankProgram) ([]byte, error) {
 	out := rankProgramJSON(*rp)
 	out.Format = FormatVersion
@@ -34,9 +32,8 @@ func encodeRankJSON(rp *RankProgram) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeRankJSON is the reference decoding of b: what DecodeRank
-// returned before the hand-written codec, with the same format and rank
-// checks.
+// decodeRankJSON is the reference decoding of b, with DecodeRank's
+// format and rank checks.
 func decodeRankJSON(b []byte) (*RankProgram, error) {
 	var out rankProgramJSON
 	if err := json.NewDecoder(bytes.NewReader(b)).Decode(&out); err != nil {

@@ -43,16 +43,11 @@ func GenerateV(name string, counts [][]int) (*Schedule, error) {
 	if err := checkRanks(p); err != nil {
 		return nil, err
 	}
+	if err := checkCounts(CollAlltoallv, counts, p); err != nil {
+		return nil, err
+	}
 	cp := make([][]int, p)
 	for s, row := range counts {
-		if len(row) != p {
-			return nil, fmt.Errorf("sched: counts row %d has %d entries, want %d", s, len(row), p)
-		}
-		for d, n := range row {
-			if n < 0 {
-				return nil, fmt.Errorf("sched: negative count %d for pair %d->%d", n, s, d)
-			}
-		}
 		cp[s] = append([]int(nil), row...)
 	}
 	perRank := make([][][]Step, p)

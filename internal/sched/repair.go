@@ -246,23 +246,7 @@ func (r *Repaired) Program(rank int) (*RankProgram, error) {
 // properties plus cross-rank round pairing and the shrunken delivery
 // accounting (dead blocks must stay undelivered).
 func (r *Repaired) Verify() error {
-	sv := NewStreamVerifier(r.Ranks)
-	if err := sv.SetDead(r.Dead); err != nil {
-		return err
-	}
-	for rank := 0; rank < r.Ranks; rank++ {
-		if rank == r.Dead {
-			continue
-		}
-		rp, err := r.Program(rank)
-		if err != nil {
-			return err
-		}
-		if err := sv.Add(rp); err != nil {
-			return err
-		}
-	}
-	return sv.Finish()
+	return streamPrograms(r.Ranks, r.Program, r.Dead)
 }
 
 // RescheduledRanks lists the ranks whose programs needed route work — the

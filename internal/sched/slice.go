@@ -89,31 +89,6 @@ func Slice(s *Schedule, rank int) (*RankProgram, error) {
 	return rp, nil
 }
 
-// SpaceSize returns the size in blocks of a buffer space id, or -1 for an
-// unknown space (the same layout the whole-world schedule reports for
-// this rank via SpaceSizeRank).
-func (rp *RankProgram) SpaceSize(buf int) int {
-	switch buf {
-	case SpaceSend:
-		if rp.Collective() == CollAlltoallv {
-			return sumCounts(rp.VSend)
-		}
-		return rp.Ranks
-	case SpaceRecv:
-		switch rp.Collective() {
-		case CollReduceScatter:
-			return 1
-		case CollAlltoallv:
-			return sumCounts(rp.VRecv)
-		}
-		return rp.Ranks
-	}
-	if i := buf - SpaceScratch; i >= 0 && i < len(rp.Scratch) {
-		return rp.Scratch[i]
-	}
-	return -1
-}
-
 // Stats computes the program's summary counters: the same fields as
 // Schedule.Stats restricted to this rank's steps (Messages counts this
 // rank's sends).

@@ -6,36 +6,32 @@ import (
 	"math/bits"
 )
 
+// The full verifier drives the shared step walk (walk.go) round by round
+// over every rank of an assembled world. Values are named globally —
+// block ids for the routing collectives, partials with contributor masks
+// for the reductions — and each round's messages are paired and their
+// payloads delivered once every rank has walked it. That cross-rank
+// dataflow is the content proof a streamed slice (verifyslice.go) cannot
+// give.
+
 // Verify statically proves a schedule implements its collective's
-// semantics before it ever runs. It checks, in order:
+// semantics before it ever runs:
 //
-//   - structure: positive rank count, a step list per rank per round,
-//     positive scratch sizes, known step kinds, peers in range, buffer
-//     references in range (per-rank ranges for alltoallv), no writes
-//     into the user send buffer, a well-formed header (Counts present
-//     exactly for alltoallv, an operator label exactly for reductions);
+//   - structure and every local rule of the step walk: a well-formed
+//     header (Counts exactly for alltoallv, an operator label exactly
+//     for reductions), a step list per rank per round, refs and peers in
+//     range, no writes into the user send buffer, no same-round races
+//     (received data lands at the round's wait), no undefined reads;
 //   - round pairing: every send is matched by a receive of the same
 //     length within its round, at most one message per ordered rank pair
-//     per round (so per-round tags are unambiguous) — deadlock-freedom
-//     under the round discipline;
-//   - data races the executor's ordering cannot tolerate: no copy, send
-//     or reduce reads data received in the same round (received data
-//     lands at the round's wait), no two same-round writes to one slot,
-//     no copy or reduce overwriting a buffer an earlier send of the
-//     round is transmitting;
-//   - dataflow, by symbolic execution. For the routing collectives
-//     (alltoall, alltoallv) every slot tracks which (src, dst) block it
-//     holds, proving each recv slot is written exactly once and finally
-//     holds exactly its block — exactly-count-per-pair delivery (the
-//     count is 1 for alltoall, Counts[s][d] for alltoallv). For the
-//     reduction collectives every slot tracks a partial: which result
-//     block it contributes to and the set of ranks whose contributions
-//     it contains. A Reduce step must combine partials of the same
-//     block with disjoint contributor sets (rejecting wrong-block and
-//     double-contribution corruption, and Step.Op must equal
-//     Schedule.Op), and a recv slot must be written exactly once with a
-//     complete partial — every rank's contribution entering exactly
-//     once.
+//     per round — deadlock-freedom under the round discipline;
+//   - dataflow, by symbolic execution: every recv slot is written
+//     exactly once and finally holds exactly its block (routing:
+//     exactly-count-per-pair delivery, the count being 1 for alltoall
+//     and Counts[s][d] for alltoallv) or a complete partial of its
+//     result block (reductions: a Reduce must combine partials of one
+//     block with disjoint contributor sets, so every rank's contribution
+//     enters exactly once).
 //
 // The proof is per-schedule, not per-run: a verified schedule is correct
 // for every block size on every substrate (and, for reductions, every
@@ -51,63 +47,62 @@ func Verify(s *Schedule) error {
 	if len(s.Rounds) == 0 {
 		return errors.New("sched: schedule has no rounds (even the trivial schedule needs the self-block copy)")
 	}
-	for i, sz := range s.Scratch {
-		if sz <= 0 {
-			return fmt.Errorf("sched: scratch space %d has non-positive size %d", i, sz)
-		}
+	if err := checkHeader(s.Collective(), s.Op, s.Scratch, "schedule"); err != nil {
+		return err
 	}
-	if err := checkHeader(s.Collective(), s.Op, s.Counts, p); err != nil {
+	if err := checkCounts(s.Collective(), s.Counts, p); err != nil {
 		return err
 	}
 
-	v := newVerifier(s)
-	for ri := range s.Rounds {
-		if err := v.round(ri); err != nil {
+	walks := newWorld(s)
+	for ri, rd := range s.Rounds {
+		if len(rd.Steps) != p {
+			return fmt.Errorf("sched: round %d has %d step lists, want one per rank (%d)", ri, len(rd.Steps), p)
+		}
+		for r, w := range walks {
+			if err := w.round(ri, rd.Steps[r]); err != nil {
+				return err
+			}
+		}
+		if err := deliverRound(walks, ri); err != nil {
 			return err
 		}
 	}
-	return v.final()
+	for _, w := range walks {
+		if err := w.final(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// checkHeader validates the collective-describing header fields shared
-// by Schedule (Counts as the full matrix) and RankProgram (counts nil;
-// the slice's VSend/VRecv are checked by the stream verifier).
-func checkHeader(coll Coll, op string, counts [][]int, p int) error {
-	if !coll.valid() {
-		return fmt.Errorf("sched: unknown collective %q", coll)
-	}
-	if coll.reduction() != (op != "") {
-		if op == "" {
-			return fmt.Errorf("sched: %s schedule must declare its operator label", coll)
-		}
-		return fmt.Errorf("sched: operator label %q on a non-reduction %s schedule", op, coll)
-	}
+// checkCounts validates a schedule's per-pair count matrix: present
+// exactly for alltoallv, p rows of p non-negative counts.
+func checkCounts(coll Coll, counts [][]int, p int) error {
 	if (coll == CollAlltoallv) != (counts != nil) {
 		if counts == nil {
 			return errors.New("sched: alltoallv schedule must declare its per-pair counts")
 		}
 		return fmt.Errorf("sched: per-pair counts on a non-alltoallv %s schedule", coll)
 	}
-	if counts != nil {
-		if len(counts) != p {
-			return fmt.Errorf("sched: counts matrix has %d rows, want %d", len(counts), p)
+	if counts == nil {
+		return nil
+	}
+	if len(counts) != p {
+		return fmt.Errorf("sched: counts matrix has %d rows, want %d", len(counts), p)
+	}
+	for src, row := range counts {
+		if len(row) != p {
+			return fmt.Errorf("sched: counts row %d has %d entries, want %d", src, len(row), p)
 		}
-		for src, row := range counts {
-			if len(row) != p {
-				return fmt.Errorf("sched: counts row %d has %d entries, want %d", src, len(row), p)
-			}
-			for dst, n := range row {
-				if n < 0 {
-					return fmt.Errorf("sched: negative count %d for pair %d->%d", n, src, dst)
-				}
+		for dst, n := range row {
+			if err := checkCount(n, src, dst); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
-
-// undef marks a slot holding no value.
-const undef int64 = -1
 
 // partial is the symbolic value of one slot of a reduction schedule: a
 // sum over some contributor set for one result block.
@@ -116,349 +111,108 @@ type partial struct {
 	mask []uint64
 }
 
-// verifier is the symbolic machine: one slot array per rank covering all
-// buffer spaces. Slot values are block ids for the routing collectives
-// and indices into the partials table for the reductions.
-type verifier struct {
-	s         *Schedule
-	p         int
-	coll      Coll
-	reduction bool
-	// Per-rank space layout: send is [0, sendSize[r]), recv follows, then
-	// the scratch spaces (scratchOff are offsets past send+recv).
-	sendSize, recvSize []int
-	scratchOff         []int
-	scratchTot         int
-	// expect[r][off] is the block id a routing collective must deliver
+// worldValues names slot contents across the whole world. For the
+// routing collectives a value is a global block id: src*p+dst for
+// alltoall, and for alltoallv the block's position in the row-packed
+// concatenation of all count rows. For the reductions it indexes the
+// partials table.
+type worldValues struct {
+	p    int
+	coll Coll
+	// expect[r][off] is the block id an alltoallv schedule must deliver
 	// into recv slot off of rank r.
-	expect [][]int64
-	state  [][]int64
-	// recvWritten counts writes into the recv space (per rank, per slot):
-	// each must end at exactly 1.
-	recvWritten [][]uint8
-	// stamp arrays mark per-round slot roles without reallocation: a slot
-	// is marked for round ri when the entry equals ri+1.
-	recvStamp [][]int32 // slot is written by a receive this round
-	readStamp [][]int32 // slot is read by an already-issued send this round
-	// parts is the reduction partials table; maskWords its bitset width.
+	expect    [][]int64
 	parts     []partial
 	maskWords int
 }
 
-func newVerifier(s *Schedule) *verifier {
-	p := s.Ranks
-	v := &verifier{s: s, p: p, coll: s.Collective(), reduction: s.Collective().reduction()}
-	v.scratchOff = make([]int, len(s.Scratch))
-	for i, sz := range s.Scratch {
-		v.scratchOff[i] = v.scratchTot
-		v.scratchTot += sz
+// newWorld builds one dense walk per rank of s, sharing one worldValues,
+// with every send space seeded with its rank's blocks or contributions.
+func newWorld(s *Schedule) []*rankWalk {
+	p, coll := s.Ranks, s.Collective()
+	v := &worldValues{p: p, coll: coll, maskWords: (p + 63) / 64}
+	walks := make([]*rankWalk, p)
+	for r := range walks {
+		w := &rankWalk{rank: r, p: p, coll: coll, reduction: coll.reduction(), op: s.Op, vals: v}
+		send, recv := userSpaces(coll, p, countsRow(s.Counts, r), countsCol(s.Counts, r))
+		w.layout(send, recv, s.Scratch, true)
+		walks[r] = w
 	}
-	v.sendSize = make([]int, p)
-	v.recvSize = make([]int, p)
-	for r := 0; r < p; r++ {
-		v.sendSize[r] = s.SpaceSizeRank(r, SpaceSend)
-		v.recvSize[r] = s.SpaceSizeRank(r, SpaceRecv)
-	}
-	v.state = make([][]int64, p)
-	v.recvWritten = make([][]uint8, p)
-	v.recvStamp = make([][]int32, p)
-	v.readStamp = make([][]int32, p)
-	v.maskWords = (p + 63) / 64
 
-	// Routing seeds are global block ids; for alltoallv they index the
-	// row-packed concatenation of all count rows, so the expected recv
-	// content of slot colOff[r][s]+j is the id of the j-th block of the
-	// s->r message.
+	// Alltoallv ids index the row-packed concatenation of all count
+	// rows, so the expected recv content of slot colOff[r][s]+j is the
+	// id of the j-th block of the s->r message.
 	var rowBase []int64
-	if v.coll == CollAlltoallv {
+	if coll == CollAlltoallv {
 		rowBase = make([]int64, p+1)
-		for r := 0; r < p; r++ {
-			rowBase[r+1] = rowBase[r] + int64(v.sendSize[r])
+		for r, w := range walks {
+			rowBase[r+1] = rowBase[r] + int64(w.sendSize)
 		}
 		v.expect = make([][]int64, p)
-		for r := 0; r < p; r++ {
-			v.expect[r] = make([]int64, 0, v.recvSize[r])
+		for r, w := range walks {
+			v.expect[r] = make([]int64, 0, w.recvSize)
 			for src := 0; src < p; src++ {
-				off := int64(0)
+				off := rowBase[src]
 				for d := 0; d < r; d++ {
 					off += int64(s.Counts[src][d])
 				}
 				for j := 0; j < s.Counts[src][r]; j++ {
-					v.expect[r] = append(v.expect[r], rowBase[src]+off+int64(j))
+					v.expect[r] = append(v.expect[r], off+int64(j))
 				}
 			}
 		}
 	}
 
-	for r := 0; r < p; r++ {
-		slots := v.sendSize[r] + v.recvSize[r] + v.scratchTot
-		st := make([]int64, slots)
-		for i := range st {
-			st[i] = undef
-		}
-		for b := 0; b < v.sendSize[r]; b++ {
+	for r, w := range walks {
+		for b := 0; b < w.sendSize; b++ {
+			var val int64
 			switch {
-			case v.reduction:
-				st[b] = int64(len(v.parts))
+			case w.reduction:
+				val = int64(len(v.parts))
 				mask := make([]uint64, v.maskWords)
 				mask[r/64] |= 1 << (r % 64)
 				v.parts = append(v.parts, partial{blk: b, mask: mask})
-			case v.coll == CollAlltoallv:
-				st[b] = rowBase[r] + int64(b)
+			case coll == CollAlltoallv:
+				val = rowBase[r] + int64(b)
 			default:
-				st[b] = int64(r)*int64(v.p) + int64(b)
+				val = int64(r)*int64(p) + int64(b)
 			}
+			w.slots[b].val = val
 		}
-		v.state[r] = st
-		v.recvWritten[r] = make([]uint8, v.recvSize[r])
-		v.recvStamp[r] = make([]int32, slots)
-		v.readStamp[r] = make([]int32, slots)
 	}
-	return v
+	return walks
 }
 
-// site names what a verifier check is about: a step (optionally its src
-// or dst ref), a round's delivery at one rank, or one message. Checks
-// pass it by value and format it (via String) only when they fail, so a
-// successful verification pays no formatting per step.
-type site struct {
-	form        siteForm
-	round, rank int
-	// n is the step index of a step site and the receiving rank of a
-	// message site.
-	n    int
-	kind Kind
-	part string
-}
-
-type siteForm uint8
-
-const (
-	siteStep siteForm = iota
-	siteDelivery
-	siteMessage
-)
-
-func stepSite(round, rank, step int, kind Kind) site {
-	return site{form: siteStep, round: round, rank: rank, n: step, kind: kind}
-}
-
-func deliverySite(round, rank int) site { return site{form: siteDelivery, round: round, rank: rank} }
-
-func messageSite(round, from, to int) site {
-	return site{form: siteMessage, round: round, rank: from, n: to}
-}
-
-// src and dst narrow a step site to one of its refs.
-func (w site) src() site { w.part = " src"; return w }
-func (w site) dst() site { w.part = " dst"; return w }
-
-func (w site) String() string {
-	switch w.form {
-	case siteDelivery:
-		return fmt.Sprintf("sched: round %d rank %d delivery", w.round, w.rank)
-	case siteMessage:
-		return fmt.Sprintf("sched: round %d message %d->%d", w.round, w.rank, w.n)
-	}
-	return fmt.Sprintf("sched: round %d rank %d step %d (%s)%s", w.round, w.rank, w.n, w.kind, w.part)
-}
-
-// checkRef validates a buffer reference against rank's space layout and
-// returns its first slot index.
-func (v *verifier) checkRef(rank int, ref Ref, where site) (int, error) {
-	var size, base int
-	switch {
-	case ref.Buf == SpaceSend:
-		size, base = v.sendSize[rank], 0
-	case ref.Buf == SpaceRecv:
-		size, base = v.recvSize[rank], v.sendSize[rank]
-	case ref.Buf >= SpaceScratch && ref.Buf < SpaceScratch+len(v.s.Scratch):
-		size = v.s.Scratch[ref.Buf-SpaceScratch]
-		base = v.sendSize[rank] + v.recvSize[rank] + v.scratchOff[ref.Buf-SpaceScratch]
-	default:
-		return 0, fmt.Errorf("%s: unknown buffer space %d", where, ref.Buf)
-	}
-	if ref.N <= 0 {
-		return 0, fmt.Errorf("%s: non-positive length %d", where, ref.N)
-	}
-	if ref.Off < 0 || ref.Off+ref.N > size {
-		return 0, fmt.Errorf("%s: range %d+%d out of space %d (%d blocks)", where, ref.Off, ref.N, ref.Buf, size)
-	}
-	return base + ref.Off, nil
-}
-
-// recvSlotBase returns the slot index of rank's recv space.
-func (v *verifier) recvSlotBase(rank int) int { return v.sendSize[rank] }
-
-// pairKey identifies a directed message within one round.
-type pairKey struct{ from, to int }
-
-// pendingRecv is a posted receive awaiting its round's delivery.
-type pendingRecv struct {
-	rank int
-	slot int
-	n    int
-}
-
-// round verifies and symbolically executes round ri.
-func (v *verifier) round(ri int) error {
-	rd := v.s.Rounds[ri]
-	if len(rd.Steps) != v.p {
-		return fmt.Errorf("sched: round %d has %d step lists, want one per rank (%d)", ri, len(rd.Steps), v.p)
-	}
+// deliverRound pairs round ri's messages once every rank has walked it
+// and delivers each send's payload into its receive, at the round's
+// wait. Sends and receives are taken in rank order, so a faulty schedule
+// always reports the same fault.
+func deliverRound(walks []*rankWalk, ri int) error {
 	stamp := int32(ri + 1)
-	sends := make(map[pairKey][]int64)
-	recvs := make(map[pairKey]pendingRecv)
-
-	// Pass 1: collect receive-written slots (their data lands at the
-	// round's wait, so same-round reads and overlapping writes are races).
-	for r := 0; r < v.p; r++ {
-		for si, step := range rd.Steps[r] {
-			if step.Kind != Recv && step.Kind != SendRecv {
-				continue
+	// The send and receive multisets must match exactly.
+	for r, w := range walks {
+		for _, m := range w.sends {
+			to := walks[m.peer]
+			if to.fromSeen[r] != stamp {
+				return fmt.Errorf("sched: round %d: unmatched send %d->%d (no receive posted — the round discipline would deadlock)", ri, r, m.peer)
 			}
-			where := stepSite(ri, r, si, step.Kind).dst()
-			slot, err := v.checkRef(r, step.Dst, where)
-			if err != nil {
-				return err
-			}
-			if step.Dst.Buf == SpaceSend {
-				return fmt.Errorf("%s: schedules must not write the user send buffer", where)
-			}
-			if step.From < 0 || step.From >= v.p || step.From == r {
-				return fmt.Errorf("sched: round %d rank %d step %d: receive source %d out of range", ri, r, si, step.From)
-			}
-			key := pairKey{step.From, r}
-			if _, dup := recvs[key]; dup {
-				return fmt.Errorf("sched: round %d: two receives from %d at %d (per-round tags would be ambiguous)", ri, step.From, r)
-			}
-			recvs[key] = pendingRecv{rank: r, slot: slot, n: step.Dst.N}
-			for k := 0; k < step.Dst.N; k++ {
-				if v.recvStamp[r][slot+k] == stamp {
-					return fmt.Errorf("sched: round %d rank %d: two receives write slot %d in one round", ri, r, slot+k)
-				}
-				v.recvStamp[r][slot+k] = stamp
+			if n := to.recvs[to.fromIdx[r]].ref.N; n != m.ref.N {
+				return fmt.Errorf("sched: round %d: message %d->%d sends %d blocks but the receive expects %d", ri, r, m.peer, m.ref.N, n)
 			}
 		}
 	}
-
-	// Pass 2: walk copies, reduces and sends in step order per rank,
-	// maintaining the symbolic state; snapshot send payloads at issue
-	// position.
-	for r := 0; r < v.p; r++ {
-		for si, step := range rd.Steps[r] {
-			where := stepSite(ri, r, si, step.Kind)
-			switch step.Kind {
-			case Copy, Reduce:
-				src, err := v.checkRef(r, step.Src, where.src())
-				if err != nil {
-					return err
-				}
-				dst, err := v.checkRef(r, step.Dst, where.dst())
-				if err != nil {
-					return err
-				}
-				if step.Src.N != step.Dst.N {
-					return fmt.Errorf("%s: length mismatch src %d, dst %d", where, step.Src.N, step.Dst.N)
-				}
-				if step.Dst.Buf == SpaceSend {
-					return fmt.Errorf("%s: schedules must not write the user send buffer", where)
-				}
-				// Overlapping ranges are rejected outright: the symbolic
-				// slot-by-slot model below and the executor's memmove
-				// semantics (comm.CopyData) disagree on them, so a schedule
-				// relying on overlap would verify against behavior the
-				// executor does not have. (For Reduce, overlap would also
-				// mean combining a partial into itself.)
-				if step.Src.Buf == step.Dst.Buf && step.Src.Off < step.Dst.Off+step.Dst.N && step.Dst.Off < step.Src.Off+step.Src.N {
-					return fmt.Errorf("%s: src %v and dst %v overlap", where, step.Src, step.Dst)
-				}
-				if step.Kind == Reduce {
-					if !v.reduction {
-						return fmt.Errorf("%s: reduce step in a %s schedule", where, v.coll)
-					}
-					if step.Op != v.s.Op {
-						return fmt.Errorf("%s: operator %q does not match the schedule's %q", where, step.Op, v.s.Op)
-					}
-				}
-				for k := 0; k < step.Src.N; k++ {
-					if v.recvStamp[r][src+k] == stamp {
-						return fmt.Errorf("%s: reads slot %d received in the same round (received data is only available in later rounds)", where, src+k)
-					}
-					if v.recvStamp[r][dst+k] == stamp {
-						return fmt.Errorf("%s: writes slot %d a same-round receive also writes", where, dst+k)
-					}
-					if v.readStamp[r][dst+k] == stamp {
-						return fmt.Errorf("%s: overwrites slot %d an earlier send of the round is transmitting", where, dst+k)
-					}
-					val := v.state[r][src+k]
-					if val == undef {
-						return fmt.Errorf("%s: reads undefined data at slot %d", where, src+k)
-					}
-					if step.Kind == Reduce {
-						if val, err = v.combine(r, dst+k, val, where); err != nil {
-							return err
-						}
-					}
-					if err := v.write(r, dst+k, val, where); err != nil {
-						return err
-					}
-				}
-			case Send, SendRecv:
-				src, err := v.checkRef(r, step.Src, where.src())
-				if err != nil {
-					return err
-				}
-				if step.To < 0 || step.To >= v.p || step.To == r {
-					return fmt.Errorf("%s: send destination %d out of range", where, step.To)
-				}
-				key := pairKey{r, step.To}
-				if _, dup := sends[key]; dup {
-					return fmt.Errorf("sched: round %d: two sends from %d to %d (per-round tags would be ambiguous)", ri, r, step.To)
-				}
-				payload := make([]int64, step.Src.N)
-				for k := 0; k < step.Src.N; k++ {
-					if v.recvStamp[r][src+k] == stamp {
-						return fmt.Errorf("%s: sends slot %d received in the same round", where, src+k)
-					}
-					val := v.state[r][src+k]
-					if val == undef {
-						return fmt.Errorf("%s: sends undefined data at slot %d", where, src+k)
-					}
-					payload[k] = val
-					v.readStamp[r][src+k] = stamp
-				}
-				sends[key] = payload
-			case Recv:
-				// Posted in pass 1.
-			default:
-				return fmt.Errorf("%s: unknown step kind %q", where, step.Kind)
+	for r, w := range walks {
+		for _, m := range w.recvs {
+			if walks[m.peer].toSeen[r] != stamp {
+				return fmt.Errorf("sched: round %d: unmatched receive at %d from %d (no send posted — the round discipline would deadlock)", ri, r, m.peer)
 			}
 		}
 	}
-
-	// Pairing: the send and receive multisets must match exactly.
-	for key, payload := range sends {
-		rv, ok := recvs[key]
-		if !ok {
-			return fmt.Errorf("sched: round %d: unmatched send %d->%d (no receive posted — the round discipline would deadlock)", ri, key.from, key.to)
-		}
-		if rv.n != len(payload) {
-			return fmt.Errorf("sched: round %d: message %d->%d sends %d blocks but the receive expects %d", ri, key.from, key.to, len(payload), rv.n)
-		}
-	}
-	for key := range recvs {
-		if _, ok := sends[key]; !ok {
-			return fmt.Errorf("sched: round %d: unmatched receive at %d from %d (no send posted — the round discipline would deadlock)", ri, key.to, key.from)
-		}
-	}
-
-	// Deliver: receive payloads land at the round's wait.
-	for key, rv := range recvs {
-		payload := sends[key]
-		where := messageSite(ri, key.from, key.to)
-		for k, val := range payload {
-			if err := v.write(rv.rank, rv.slot+k, val, where); err != nil {
+	for r, w := range walks {
+		for _, m := range w.sends {
+			to := walks[m.peer]
+			dst := to.recvs[to.fromIdx[r]].ref
+			if err := to.deliver(dst, w.payload[m.at:m.at+m.ref.N], 0, messageSite(ri, r, m.peer)); err != nil {
 				return err
 			}
 		}
@@ -469,93 +223,51 @@ func (v *verifier) round(ri int) error {
 // combine forms the partial a Reduce step leaves at the destination slot:
 // both operands must be partials of the same result block with disjoint
 // contributor sets (a shared contributor would enter the sum twice).
-func (v *verifier) combine(rank, dstSlot int, srcVal int64, where site) (int64, error) {
-	dstVal := v.state[rank][dstSlot]
-	if dstVal == undef {
-		return 0, fmt.Errorf("%s: reduces into undefined data at slot %d", where, dstSlot)
-	}
-	sp, dp := v.parts[srcVal], v.parts[dstVal]
+func (v *worldValues) combine(_ int, src, dst int64) (int64, int, int, int) {
+	sp, dp := v.parts[src], v.parts[dst]
 	if sp.blk != dp.blk {
-		return 0, fmt.Errorf("%s: reduces a partial of block %d into a partial of block %d", where, sp.blk, dp.blk)
+		return 0, sp.blk, dp.blk, -1
 	}
 	mask := make([]uint64, v.maskWords)
 	for w := range mask {
-		if sp.mask[w]&dp.mask[w] != 0 {
-			shared := bits.TrailingZeros64(sp.mask[w] & dp.mask[w])
-			return 0, fmt.Errorf("%s: contribution of rank %d to block %d would enter twice (double contribution)", where, w*64+shared, sp.blk)
+		if both := sp.mask[w] & dp.mask[w]; both != 0 {
+			return 0, sp.blk, dp.blk, w*64 + bits.TrailingZeros64(both)
 		}
 		mask[w] = sp.mask[w] | dp.mask[w]
 	}
 	v.parts = append(v.parts, partial{blk: sp.blk, mask: mask})
-	return int64(len(v.parts) - 1), nil
+	return int64(len(v.parts) - 1), sp.blk, dp.blk, -1
 }
 
-// write updates a slot, enforcing the exactly-once discipline and the
-// final-content contract on the recv space.
-func (v *verifier) write(rank, slot int, val int64, where site) error {
-	if rb := v.recvSlotBase(rank); slot >= rb && slot < rb+v.recvSize[rank] {
-		d := slot - rb
-		v.recvWritten[rank][d]++
-		if v.recvWritten[rank][d] > 1 {
-			return fmt.Errorf("%s: recv block %d of rank %d written more than once (block delivered twice)", where, d, rank)
+func (v *worldValues) resultBlock(val int64) int { return v.parts[val].blk }
+
+// checkRecv enforces the final-content contract on a recv write: a
+// reduction result must be complete, a routed block must be the one the
+// slot expects.
+func (v *worldValues) checkRecv(rank, d int, val int64, where site) error {
+	if v.coll.reduction() {
+		for w, m := range v.parts[val].mask {
+			ranksHere := v.p - w*64
+			full := ^uint64(0)
+			if ranksHere < 64 {
+				full = uint64(1)<<ranksHere - 1
+			}
+			if m != full {
+				missing := bits.TrailingZeros64(^m & full)
+				return fmt.Errorf("%s: recv block %d of rank %d misses the contribution of rank %d (incomplete reduction)", where, d, rank, w*64+missing)
+			}
 		}
-		if v.reduction {
-			pt := v.parts[val]
-			want := rank // reduce-scatter: the single recv block is this rank's result
-			if v.coll == CollAllreduce {
-				want = d
-			}
-			if pt.blk != want {
-				return fmt.Errorf("%s: recv block %d of rank %d receives the result of block %d, want %d", where, d, rank, pt.blk, want)
-			}
-			for w, m := range pt.mask {
-				ranksHere := v.p - w*64
-				full := ^uint64(0)
-				if ranksHere < 64 {
-					full = uint64(1)<<ranksHere - 1
-				}
-				if m != full {
-					missing := bits.TrailingZeros64(^m & full)
-					return fmt.Errorf("%s: recv block %d of rank %d misses the contribution of rank %d (incomplete reduction)", where, d, rank, w*64+missing)
-				}
-			}
-		} else if want := v.expectGid(rank, d); val != want {
-			if v.coll == CollAlltoall {
-				return fmt.Errorf("%s: recv block %d of rank %d receives block (%d->%d), want (%d->%d)",
-					where, d, rank, val/int64(v.p), val%int64(v.p), d, rank)
-			}
+		return nil
+	}
+	if v.coll == CollAlltoallv {
+		if want := v.expect[rank][d]; val != want {
 			return fmt.Errorf("%s: recv block %d of rank %d receives block id %d, want %d", where, d, rank, val, want)
 		}
+		return nil
 	}
-	v.state[rank][slot] = val
-	return nil
-}
-
-// expectGid is the block id a routing collective must deliver into recv
-// slot off of rank r.
-func (v *verifier) expectGid(rank, off int) int64 {
-	if v.coll == CollAlltoallv {
-		return v.expect[rank][off]
-	}
-	return int64(off)*int64(v.p) + int64(rank)
-}
-
-// final checks the post-state: every recv slot written exactly once (the
-// correct content was already enforced at write time).
-func (v *verifier) final() error {
-	for r := 0; r < v.p; r++ {
-		for d := 0; d < v.recvSize[r]; d++ {
-			if v.recvWritten[r][d] != 1 {
-				switch {
-				case v.reduction:
-					return fmt.Errorf("sched: result block %d of rank %d never produced", d, r)
-				case v.coll == CollAlltoall:
-					return fmt.Errorf("sched: block (%d->%d) never delivered", d, r)
-				default:
-					return fmt.Errorf("sched: recv block %d of rank %d never delivered", d, r)
-				}
-			}
-		}
+	if want := int64(d)*int64(v.p) + int64(rank); val != want {
+		return fmt.Errorf("%s: recv block %d of rank %d receives block (%d->%d), want (%d->%d)",
+			where, d, rank, val/int64(v.p), val%int64(v.p), d, rank)
 	}
 	return nil
 }

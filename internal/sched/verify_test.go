@@ -320,3 +320,19 @@ func TestVerifierSiteText(t *testing.T) {
 		t.Errorf("VerifyRank: %v, want %q", err, want)
 	}
 }
+
+// TestVerifyDiagnosticsDeterministic pins which fault Verify reports when
+// a round holds several: pairing faults are reported in rank order, so
+// the same bad schedule yields the same diagnostic on every call.
+func TestVerifyDiagnosticsDeterministic(t *testing.T) {
+	t.Parallel()
+	s := mustGen(t, "pairwise", 8)
+	s.Rounds[1].Steps[5] = append(s.Rounds[1].Steps[5], Step{Kind: Send, To: 2, Src: sendRef(2, 1)})
+	s.Rounds[1].Steps[0] = append(s.Rounds[1].Steps[0], Step{Kind: Send, To: 3, Src: sendRef(3, 1)})
+	const want = "sched: round 1: unmatched send 0->3 (no receive posted — the round discipline would deadlock)"
+	for i := 0; i < 200; i++ {
+		if err := Verify(s); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Verify: %v, want %q", i, err, want)
+		}
+	}
+}

@@ -9,25 +9,28 @@ import (
 
 // Large-world verification. The full verifier (verify.go) symbolically
 // executes the assembled schedule — O(p · slots) state — which is exactly
-// the cost rank-sliced compilation exists to avoid. This file proves what
-// can be proved from one rank slice at a time, in O(p) persistent memory:
+// the cost rank-sliced compilation exists to avoid. The StreamVerifier
+// proves what can be proved from one rank slice at a time, in O(p)
+// persistent memory plus O(p + touched slots) per slice:
 //
-//   - every local check of the full verifier, per slice: structure, refs
-//     in range (per-rank count sums for alltoallv), peers in range, no
-//     writes into the user send buffer, the same-round race rules (no
-//     read of received data, no overlapping writes, no copy over an
-//     issued send's buffer), no undefined reads, the reduction rules
-//     (Reduce only in reduction schedules, Step.Op matching the
-//     schedule's label, no locally detectable double contribution), and
-//     — because a rank's recv buffer is written only by its own steps —
-//     the exactly-once delivery accounting for every recv slot, with
-//     content checked whenever the written value is locally known;
+//   - every local check, per slice, by the same step walk the full
+//     verifier runs (walk.go): structure, refs in range (per-rank count
+//     sums for alltoallv), peers in range, no writes into the user send
+//     buffer, the same-round race rules, no undefined reads, the
+//     reduction rules, and — because a rank's recv buffer is written
+//     only by its own steps — the exactly-once delivery accounting for
+//     every recv slot. Only the naming of values differs: a slice knows
+//     the content of its own send blocks and nothing that arrived over
+//     the wire (localValues), so content is checked whenever the written
+//     value is locally known, and a Reduce is rejected as a double
+//     contribution only when both operands carry this rank's own;
 //   - cross-rank round pairing, incrementally: per round, the send and
-//     receive (from, to, length) multisets must agree. Each slice folds
-//     its messages into per-round count and commutative-hash
-//     accumulators; Finish compares them. Combined with the local
-//     duplicate checks this proves one message per ordered pair per round
-//     and deadlock-freedom under the round discipline, with multiset
+//     receive (from, to, length) multisets must agree. Where the full
+//     verifier pairs and delivers each round's messages, a slice folds
+//     them into per-round count and commutative-hash accumulators;
+//     Finish compares them. Combined with the walk's duplicate-peer
+//     checks this proves one message per ordered pair per round and
+//     deadlock-freedom under the round discipline, with multiset
 //     equality holding up to a 64-bit hash collision. For alltoallv the
 //     same construction proves the per-pair count declarations
 //     consistent: every slice folds its VSend row and VRecv column into
@@ -47,21 +50,62 @@ func VerifyRank(rp *RankProgram) error {
 	if rp == nil {
 		return errors.New("sched: nil rank program")
 	}
-	sv := NewStreamVerifier(rp.Ranks)
-	return sv.Add(rp)
+	return NewStreamVerifier(rp.Ranks).Add(rp)
 }
 
-// Symbolic slot values beyond locally known ones: slotUndef marks
-// never-written slots, slotUnknown data that arrived over the wire
-// (defined, but its identity is not locally derivable). Known values are
-// collective-specific: for the routing collectives, the local send-space
-// offset the data originated at (the self block/blocks — the only
-// content a slice can name); for the reductions, blk<<1|1 — a partial of
-// result block blk containing this rank's own contribution.
-const (
-	slotUndef   int64 = -1
-	slotUnknown int64 = -2
-)
+// unknown marks data that arrived over the wire: defined, but its
+// identity is not locally derivable.
+const unknown int64 = -2
+
+// localValues names slot contents as far as one slice can know them.
+// Known values are collective-specific: for the routing collectives, the
+// local send-space offset the data originated at (the self block or
+// blocks — the only content a slice can name); for the reductions,
+// blk<<1|1 — a partial of result block blk containing this rank's own
+// contribution. Everything received is unknown.
+type localValues struct {
+	reduction bool
+	// selfRowOff/selfColOff/selfCount locate the self message in the
+	// packed routing layouts: this rank's own blocks occupy send offsets
+	// [selfRowOff, selfRowOff+selfCount) and must land at recv offsets
+	// [selfColOff, selfColOff+selfCount). (For alltoall both offsets are
+	// the rank and the count is 1.)
+	selfRowOff, selfColOff, selfCount int
+}
+
+// combine keeps whichever operand is known (the combined partial carries
+// its block); two known operands both carry this rank's contribution.
+func (lv *localValues) combine(rank int, src, dst int64) (val int64, srcBlk, dstBlk, twice int) {
+	val, twice = src, -1
+	switch {
+	case src >= 0 && dst >= 0:
+		twice = rank
+	case dst >= 0:
+		val = dst
+	}
+	return val, lv.resultBlock(src), lv.resultBlock(dst), twice
+}
+
+func (lv *localValues) resultBlock(val int64) int {
+	if val < 0 {
+		return -1
+	}
+	return int(val >> 1)
+}
+
+// checkRecv checks a locally known routed block lands where this rank's
+// self message puts it.
+func (lv *localValues) checkRecv(rank, d int, val int64, where site) error {
+	if lv.reduction || val < 0 {
+		return nil
+	}
+	row, col := int64(lv.selfRowOff), int64(lv.selfColOff)
+	if val-row != int64(d)-col || val < row || val >= row+int64(lv.selfCount) {
+		return fmt.Errorf("%s: recv block %d of rank %d receives own send block %d, which belongs at %d",
+			where, d, rank, val, col+val-row)
+	}
+	return nil
+}
 
 // msgHash folds one message's round, endpoints and length into a 64-bit
 // value; per-round sums of these are the commutative multiset
@@ -87,9 +131,9 @@ type roundAcc struct {
 }
 
 // StreamVerifier proves schedule properties incrementally over rank
-// slices, in O(p + rounds) persistent memory (plus O(slice) transient per
-// Add). Feed every rank's program exactly once (any order), then call
-// Finish.
+// slices, in O(p + rounds) persistent memory (plus O(p + touched slots)
+// transient per Add). Feed every rank's program exactly once (any
+// order), then call Finish.
 type StreamVerifier struct {
 	p       int
 	name    string
@@ -106,12 +150,18 @@ type StreamVerifier struct {
 	// and VRecv column must describe the same matrix.
 	vSendHash, vRecvHash     uint64
 	vSendBlocks, vRecvBlocks int
+	// w and lv are the slice walk and its value naming, reused by every
+	// Add.
+	w  rankWalk
+	lv localValues
 }
 
 // NewStreamVerifier returns a verifier expecting the slices of a p-rank
 // world.
 func NewStreamVerifier(p int) *StreamVerifier {
-	return &StreamVerifier{p: p, seen: make([]bool, p)}
+	sv := &StreamVerifier{p: p, seen: make([]bool, p)}
+	sv.w = rankWalk{p: p, vals: &sv.lv}
+	return sv
 }
 
 // SetDead marks ranks as failed before streaming begins: their slices are
@@ -126,6 +176,7 @@ func (sv *StreamVerifier) SetDead(dead ...int) error {
 	}
 	if sv.dead == nil {
 		sv.dead = make([]bool, sv.p)
+		sv.w.dead = sv.dead
 	}
 	for _, d := range dead {
 		if d < 0 || d >= sv.p {
@@ -140,20 +191,11 @@ func (sv *StreamVerifier) SetDead(dead ...int) error {
 	return nil
 }
 
-// isDead reports whether rank r was marked dead via SetDead.
-func (sv *StreamVerifier) isDead(r int) bool { return sv.dead != nil && sv.dead[r] }
-
 // checkSliceHeader validates one slice's collective-describing fields.
 func checkSliceHeader(rp *RankProgram) error {
 	coll := rp.Collective()
-	if !coll.valid() {
-		return fmt.Errorf("sched: unknown collective %q", coll)
-	}
-	if coll.reduction() != (rp.Op != "") {
-		if rp.Op == "" {
-			return fmt.Errorf("sched: %s rank program must declare its operator label", coll)
-		}
-		return fmt.Errorf("sched: operator label %q on a non-reduction %s rank program", rp.Op, coll)
+	if err := checkHeader(coll, rp.Op, rp.Scratch, "rank program"); err != nil {
+		return err
 	}
 	if coll == CollAlltoallv {
 		if len(rp.VSend) != rp.Ranks || len(rp.VRecv) != rp.Ranks {
@@ -161,13 +203,13 @@ func checkSliceHeader(rp *RankProgram) error {
 				rp.Ranks, len(rp.VSend), len(rp.VRecv))
 		}
 		for d, n := range rp.VSend {
-			if n < 0 {
-				return fmt.Errorf("sched: negative count %d for pair %d->%d", n, rp.Rank, d)
+			if err := checkCount(n, rp.Rank, d); err != nil {
+				return err
 			}
 		}
 		for s, n := range rp.VRecv {
-			if n < 0 {
-				return fmt.Errorf("sched: negative count %d for pair %d->%d", n, s, rp.Rank)
+			if err := checkCount(n, s, rp.Rank); err != nil {
+				return err
 			}
 		}
 		if rp.VSend[rp.Rank] != rp.VRecv[rp.Rank] {
@@ -193,7 +235,7 @@ func (sv *StreamVerifier) Add(rp *RankProgram) error {
 	if rp.Rank < 0 || rp.Rank >= p {
 		return fmt.Errorf("sched: rank program rank %d out of range 0..%d", rp.Rank, p-1)
 	}
-	if sv.isDead(rp.Rank) {
+	if sv.w.isDead(rp.Rank) {
 		return fmt.Errorf("sched: rank %d is marked dead but streamed a slice", rp.Rank)
 	}
 	if sv.seen[rp.Rank] {
@@ -201,11 +243,6 @@ func (sv *StreamVerifier) Add(rp *RankProgram) error {
 	}
 	if len(rp.Rounds) == 0 {
 		return fmt.Errorf("sched: rank %d program has no rounds (even the trivial schedule needs the self-block copy)", rp.Rank)
-	}
-	for i, sz := range rp.Scratch {
-		if sz <= 0 {
-			return fmt.Errorf("sched: scratch space %d has non-positive size %d", i, sz)
-		}
 	}
 	if err := checkSliceHeader(rp); err != nil {
 		return err
@@ -261,318 +298,49 @@ func (sv *StreamVerifier) Add(rp *RankProgram) error {
 	return nil
 }
 
-// sliceState is the transient per-slice symbolic machine: recv space and
-// scratch slot values, recv write counters, and the per-round race
-// stamps, all keyed sparsely so memory stays O(touched slots).
-type sliceState struct {
-	rp        *RankProgram
-	coll      Coll
-	reduction bool
-	sendSize  int
-	recvVal   []int64         // recv-space slot values
-	recvCount []uint8         // recv-space writes, must end at exactly 1
-	scratch   map[int64]int64 // scratch slot -> value
-	recvStamp map[int64]int   // slot -> round a receive writes it
-	readStamp map[int64]int   // slot -> round an issued send reads it
-	// selfRowOff/selfColOff/selfCount locate the self message in the
-	// packed routing layouts: this rank's own blocks occupy send offsets
-	// [selfRowOff, selfRowOff+selfCount) and must land at recv offsets
-	// [selfColOff, selfColOff+selfCount). (For alltoall both offsets are
-	// the rank and the count is 1.)
-	selfRowOff, selfColOff, selfCount int
-	// fromSeen/toSeen detect duplicate per-round peers, stamped by
-	// round+1 so one allocation serves every round of the slice.
-	fromSeen, toSeen []int32
-}
-
-// slotKey identifies a slot of one buffer space.
-func slotKey(buf, off int) int64 { return int64(buf)<<40 | int64(off) }
-
-// checkRef validates a buffer reference against the program's spaces.
-func (st *sliceState) checkRef(ref Ref, where site) error {
-	size := st.rp.SpaceSize(ref.Buf)
-	if size < 0 {
-		return fmt.Errorf("%s: unknown buffer space %d", where, ref.Buf)
-	}
-	if ref.N <= 0 {
-		return fmt.Errorf("%s: non-positive length %d", where, ref.N)
-	}
-	if ref.Off < 0 || ref.Off+ref.N > size {
-		return fmt.Errorf("%s: range %d+%d out of space %d (%d blocks)", where, ref.Off, ref.N, ref.Buf, size)
-	}
-	return nil
-}
-
-// read returns the symbolic value of one slot.
-func (st *sliceState) read(buf, off int) int64 {
-	switch buf {
-	case SpaceSend:
-		// The send buffer is read-only and pre-filled. Routing: slot off
-		// holds the block this rank sends from offset off. Reduction:
-		// slot off holds this rank's own contribution to result block
-		// off.
-		if st.reduction {
-			return int64(off)<<1 | 1
-		}
-		return int64(off)
-	case SpaceRecv:
-		return st.recvVal[off]
-	}
-	v, ok := st.scratch[slotKey(buf, off)]
-	if !ok {
-		return slotUndef
-	}
-	return v
-}
-
-// write stores a symbolic value, enforcing the exactly-once and
-// known-content disciplines on the recv space.
-func (st *sliceState) write(buf, off int, val int64, where site) error {
-	if buf == SpaceRecv {
-		st.recvCount[off]++
-		if st.recvCount[off] > 1 {
-			return fmt.Errorf("%s: recv block %d of rank %d written more than once (block delivered twice)", where, off, st.rp.Rank)
-		}
-		if val >= 0 {
-			if st.reduction {
-				blk := int(val >> 1)
-				want := st.rp.Rank // reduce-scatter: the single recv block is this rank's result
-				if st.coll == CollAllreduce {
-					want = off
-				}
-				if blk != want {
-					return fmt.Errorf("%s: recv block %d of rank %d receives the result of block %d, want %d", where, off, st.rp.Rank, blk, want)
-				}
-			} else if val-int64(st.selfRowOff) != int64(off-st.selfColOff) ||
-				val < int64(st.selfRowOff) || val >= int64(st.selfRowOff+st.selfCount) {
-				return fmt.Errorf("%s: recv block %d of rank %d receives own send block %d, which belongs at %d",
-					where, off, st.rp.Rank, val, int64(st.selfColOff)+val-int64(st.selfRowOff))
-			}
-		}
-		st.recvVal[off] = val
-		return nil
-	}
-	st.scratch[slotKey(buf, off)] = val
-	return nil
-}
-
-// walk symbolically executes one slice, mirroring the full verifier's
-// round logic restricted to this rank's steps, and accumulates the
-// cross-rank fingerprints.
+// walk runs the shared step walk over one slice, folding each round's
+// messages into the fingerprint accumulators and landing its receives,
+// with unknown content, at the round's wait.
 func (sv *StreamVerifier) walk(rp *RankProgram) error {
-	p, r := sv.p, rp.Rank
-	recvSize := rp.SpaceSize(SpaceRecv)
-	st := &sliceState{
-		rp:        rp,
-		coll:      rp.Collective(),
-		reduction: rp.Collective().reduction(),
-		sendSize:  rp.SpaceSize(SpaceSend),
-		recvVal:   make([]int64, recvSize),
-		recvCount: make([]uint8, recvSize),
-		scratch:   make(map[int64]int64),
-		recvStamp: make(map[int64]int),
-		readStamp: make(map[int64]int),
-		fromSeen:  make([]int32, p),
-		toSeen:    make([]int32, p),
+	r, coll := rp.Rank, rp.Collective()
+	w, lv := &sv.w, &sv.lv
+	w.rank, w.coll, w.reduction, w.op = r, coll, coll.reduction(), rp.Op
+	send, recv := userSpaces(coll, rp.Ranks, rp.VSend, rp.VRecv)
+	w.layout(send, recv, rp.Scratch, false)
+	*lv = localValues{reduction: w.reduction, selfRowOff: r, selfColOff: r, selfCount: 1}
+	if coll == CollAlltoallv {
+		lv.selfRowOff, lv.selfColOff, lv.selfCount = sumCounts(rp.VSend[:r]), sumCounts(rp.VRecv[:r]), rp.VSend[r]
 	}
-	switch st.coll {
-	case CollAlltoallv:
-		for d := 0; d < r; d++ {
-			st.selfRowOff += rp.VSend[d]
+	// The send buffer is read-only and pre-filled. Routing: slot b holds
+	// the block this rank sends from offset b. Reduction: slot b holds
+	// this rank's own contribution to result block b.
+	for b := 0; b < w.sendSize; b++ {
+		w.slots[b].val = int64(b)
+		if w.reduction {
+			w.slots[b].val = int64(b)<<1 | 1
 		}
-		for s := 0; s < r; s++ {
-			st.selfColOff += rp.VRecv[s]
-		}
-		st.selfCount = rp.VSend[r]
-	default:
-		st.selfRowOff, st.selfColOff, st.selfCount = r, r, 1
-	}
-	for i := range st.recvVal {
-		st.recvVal[i] = slotUndef
 	}
 
-	type pending struct {
-		buf, off, n int
-	}
-	var delivers []pending
 	for ri, steps := range rp.Rounds {
-		stamp := ri + 1
-		delivers = delivers[:0]
-
-		// Pass 1: receive-written slots (their data lands at the round's
-		// wait, so same-round reads and overlapping writes are races).
-		for si, step := range steps {
-			if step.Kind != Recv && step.Kind != SendRecv {
-				continue
-			}
-			where := stepSite(ri, r, si, step.Kind).dst()
-			if err := st.checkRef(step.Dst, where); err != nil {
+		if err := w.round(ri, steps); err != nil {
+			return err
+		}
+		a := &sv.acc[ri]
+		for _, m := range w.sends {
+			a.sends++
+			a.sendBlocks += m.ref.N
+			a.sendHash += msgHash(ri, r, m.peer, m.ref.N)
+		}
+		for _, m := range w.recvs {
+			a.recvs++
+			a.recvBlks += m.ref.N
+			a.recvHash += msgHash(ri, m.peer, r, m.ref.N)
+			if err := w.deliver(m.ref, nil, unknown, deliverySite(ri, r)); err != nil {
 				return err
 			}
-			if step.Dst.Buf == SpaceSend {
-				return fmt.Errorf("%s: schedules must not write the user send buffer", where)
-			}
-			if step.From < 0 || step.From >= p || step.From == r {
-				return fmt.Errorf("sched: round %d rank %d step %d: receive source %d out of range", ri, r, si, step.From)
-			}
-			if sv.isDead(step.From) {
-				return fmt.Errorf("sched: round %d rank %d step %d: receives from dead rank %d", ri, r, si, step.From)
-			}
-			if st.fromSeen[step.From] == int32(stamp) {
-				return fmt.Errorf("sched: round %d: two receives from %d at %d (per-round tags would be ambiguous)", ri, step.From, r)
-			}
-			st.fromSeen[step.From] = int32(stamp)
-			for k := 0; k < step.Dst.N; k++ {
-				key := slotKey(step.Dst.Buf, step.Dst.Off+k)
-				if st.recvStamp[key] == stamp {
-					return fmt.Errorf("sched: round %d rank %d: two receives write slot %v in one round", ri, r, step.Dst.Off+k)
-				}
-				st.recvStamp[key] = stamp
-			}
-			delivers = append(delivers, pending{step.Dst.Buf, step.Dst.Off, step.Dst.N})
-			sv.acc[ri].recvs++
-			sv.acc[ri].recvBlks += step.Dst.N
-			sv.acc[ri].recvHash += msgHash(ri, step.From, r, step.Dst.N)
-		}
-
-		// Pass 2: copies, reduces and sends in step order.
-		for si, step := range steps {
-			where := stepSite(ri, r, si, step.Kind)
-			switch step.Kind {
-			case Copy, Reduce:
-				if err := st.checkRef(step.Src, where.src()); err != nil {
-					return err
-				}
-				if err := st.checkRef(step.Dst, where.dst()); err != nil {
-					return err
-				}
-				if step.Src.N != step.Dst.N {
-					return fmt.Errorf("%s: length mismatch src %d, dst %d", where, step.Src.N, step.Dst.N)
-				}
-				if step.Dst.Buf == SpaceSend {
-					return fmt.Errorf("%s: schedules must not write the user send buffer", where)
-				}
-				if step.Src.Buf == step.Dst.Buf && step.Src.Off < step.Dst.Off+step.Dst.N && step.Dst.Off < step.Src.Off+step.Src.N {
-					return fmt.Errorf("%s: src %v and dst %v overlap", where, step.Src, step.Dst)
-				}
-				if step.Kind == Reduce {
-					if !st.reduction {
-						return fmt.Errorf("%s: reduce step in a %s schedule", where, st.coll)
-					}
-					if step.Op != rp.Op {
-						return fmt.Errorf("%s: operator %q does not match the schedule's %q", where, step.Op, rp.Op)
-					}
-				}
-				for k := 0; k < step.Src.N; k++ {
-					skey := slotKey(step.Src.Buf, step.Src.Off+k)
-					dkey := slotKey(step.Dst.Buf, step.Dst.Off+k)
-					if st.recvStamp[skey] == stamp {
-						return fmt.Errorf("%s: reads slot %d received in the same round (received data is only available in later rounds)", where, step.Src.Off+k)
-					}
-					if st.recvStamp[dkey] == stamp {
-						return fmt.Errorf("%s: writes slot %d a same-round receive also writes", where, step.Dst.Off+k)
-					}
-					if st.readStamp[dkey] == stamp {
-						return fmt.Errorf("%s: overwrites slot %d an earlier send of the round is transmitting", where, step.Dst.Off+k)
-					}
-					val := st.read(step.Src.Buf, step.Src.Off+k)
-					if val == slotUndef {
-						return fmt.Errorf("%s: reads undefined data at slot %d", where, step.Src.Off+k)
-					}
-					if step.Kind == Reduce {
-						dval := st.read(step.Dst.Buf, step.Dst.Off+k)
-						if dval == slotUndef {
-							return fmt.Errorf("%s: reduces into undefined data at slot %d", where, step.Dst.Off+k)
-						}
-						sKnown, dKnown := val >= 0, dval >= 0
-						if sKnown && dKnown && val>>1 != dval>>1 {
-							return fmt.Errorf("%s: reduces a partial of block %d into a partial of block %d", where, val>>1, dval>>1)
-						}
-						if sKnown && dKnown && val&1 == 1 && dval&1 == 1 {
-							return fmt.Errorf("%s: contribution of rank %d to block %d would enter twice (double contribution)", where, r, val>>1)
-						}
-						switch {
-						case sKnown:
-							// keep val: the combined partial carries the known block
-						case dKnown:
-							val = dval
-						default:
-							val = slotUnknown
-						}
-					}
-					if err := st.write(step.Dst.Buf, step.Dst.Off+k, val, where); err != nil {
-						return err
-					}
-				}
-			case Send, SendRecv:
-				if err := st.checkRef(step.Src, where.src()); err != nil {
-					return err
-				}
-				if step.To < 0 || step.To >= p || step.To == r {
-					return fmt.Errorf("%s: send destination %d out of range", where, step.To)
-				}
-				if sv.isDead(step.To) {
-					return fmt.Errorf("%s: sends to dead rank %d", where, step.To)
-				}
-				if st.toSeen[step.To] == int32(stamp) {
-					return fmt.Errorf("sched: round %d: two sends from %d to %d (per-round tags would be ambiguous)", ri, r, step.To)
-				}
-				st.toSeen[step.To] = int32(stamp)
-				for k := 0; k < step.Src.N; k++ {
-					key := slotKey(step.Src.Buf, step.Src.Off+k)
-					if st.recvStamp[key] == stamp {
-						return fmt.Errorf("%s: sends slot %d received in the same round", where, step.Src.Off+k)
-					}
-					if st.read(step.Src.Buf, step.Src.Off+k) == slotUndef {
-						return fmt.Errorf("%s: sends undefined data at slot %d", where, step.Src.Off+k)
-					}
-					st.readStamp[key] = stamp
-				}
-				sv.acc[ri].sends++
-				sv.acc[ri].sendBlocks += step.Src.N
-				sv.acc[ri].sendHash += msgHash(ri, r, step.To, step.Src.N)
-			case Recv:
-				// Handled in pass 1.
-			default:
-				return fmt.Errorf("%s: unknown step kind %q", where, step.Kind)
-			}
-		}
-
-		// Deliver: received data lands at the round's wait, with contents
-		// not locally derivable.
-		for _, d := range delivers {
-			where := deliverySite(ri, r)
-			for k := 0; k < d.n; k++ {
-				if err := st.write(d.buf, d.off+k, slotUnknown, where); err != nil {
-					return err
-				}
-			}
 		}
 	}
-
-	// Delivery accounting: every recv slot of this rank written exactly
-	// once (content was checked at write time whenever locally known) —
-	// except, for repaired all-to-all worlds, slots of dead sources,
-	// which must stay empty.
-	for d := 0; d < recvSize; d++ {
-		if st.coll == CollAlltoall && sv.isDead(d) {
-			if st.recvCount[d] != 0 {
-				return fmt.Errorf("sched: rank %d delivers block (%d->%d) of dead rank %d", r, d, r, d)
-			}
-			continue
-		}
-		if st.recvCount[d] != 1 {
-			switch {
-			case st.reduction:
-				return fmt.Errorf("sched: result block %d of rank %d never produced", d, r)
-			case st.coll == CollAlltoall:
-				return fmt.Errorf("sched: block (%d->%d) never delivered", d, r)
-			default:
-				return fmt.Errorf("sched: recv block %d of rank %d never delivered", d, r)
-			}
-		}
-	}
-	return nil
+	return w.final()
 }
 
 // Finish checks the cross-rank properties once every slice has been
@@ -663,10 +431,19 @@ func VerifyWorldSliced(name string, p int, m *topo.Mapping) error {
 	return streamPrograms(p, func(r int) (*RankProgram, error) { return GenerateRank(name, p, r, m) })
 }
 
-// streamPrograms adds program(r) for every rank to one StreamVerifier.
-func streamPrograms(p int, program func(rank int) (*RankProgram, error)) error {
+// streamPrograms adds program(r) for every rank but the dead ones to one
+// StreamVerifier.
+func streamPrograms(p int, program func(rank int) (*RankProgram, error), dead ...int) error {
 	sv := NewStreamVerifier(p)
+	if len(dead) > 0 {
+		if err := sv.SetDead(dead...); err != nil {
+			return err
+		}
+	}
 	for r := 0; r < p; r++ {
+		if sv.w.isDead(r) {
+			continue
+		}
 		rp, err := program(r)
 		if err != nil {
 			return err

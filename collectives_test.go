@@ -19,26 +19,32 @@ func TestPublicAlltoallv(t *testing.T) {
 			sendCounts[i] = (r+i)%4 + 1
 			recvCounts[i] = (i+r)%4 + 1
 		}
-		sdispls, sTotal := alltoallx.AlltoallvCounts(sendCounts)
-		rdispls, rTotal := alltoallx.AlltoallvCounts(recvCounts)
+		sdispls, sTotal := alltoallx.DisplsFromCounts(sendCounts)
+		rdispls, rTotal := alltoallx.DisplsFromCounts(recvCounts)
 		send := alltoallx.Alloc(sTotal)
-		recv := alltoallx.Alloc(rTotal)
 		for i := 0; i < n; i++ {
 			for k := 0; k < sendCounts[i]; k++ {
 				send.Bytes()[sdispls[i]+k] = byte(r*16 + i)
 			}
 		}
-		if err := alltoallx.Alltoallv(c, send, sendCounts, sdispls, recv, recvCounts, rdispls); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			for k := 0; k < recvCounts[i]; k++ {
-				if got, want := recv.Bytes()[rdispls[i]+k], byte(i*16+r); got != want {
-					return fmt.Errorf("rank %d from %d byte %d: got %d want %d", r, i, k, got, want)
+		for _, algo := range []string{"pairwise", "nonblocking"} {
+			a, err := alltoallx.NewV(algo, c, 4*n, alltoallx.Options{})
+			if err != nil {
+				return err
+			}
+			recv := alltoallx.Alloc(rTotal)
+			if err := a.Alltoallv(send, sendCounts, sdispls, recv, recvCounts, rdispls); err != nil {
+				return err
+			}
+			for i := 0; i < n; i++ {
+				for k := 0; k < recvCounts[i]; k++ {
+					if got, want := recv.Bytes()[rdispls[i]+k], byte(i*16+r); got != want {
+						return fmt.Errorf("%s: rank %d from %d byte %d: got %d want %d", algo, r, i, k, got, want)
+					}
 				}
 			}
 		}
-		return alltoallx.AlltoallvNonblocking(c, send, sendCounts, sdispls, recv, recvCounts, rdispls)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,12 +117,20 @@ func TestPublicFlatCollectives(t *testing.T) {
 		const block = 8
 		send := alltoallx.Alloc(block)
 		binary.LittleEndian.PutUint64(send.Bytes(), uint64(int64(c.Rank()*10)))
+		ring, err := alltoallx.NewAllgather("ring", c, alltoallx.Options{})
+		if err != nil {
+			return err
+		}
+		bruck, err := alltoallx.NewAllgather("bruck", c, alltoallx.Options{})
+		if err != nil {
+			return err
+		}
 		recv := alltoallx.Alloc(n * block)
-		if err := alltoallx.AllgatherRing(c, send, recv, block); err != nil {
+		if err := ring.Allgather(send, recv, block); err != nil {
 			return err
 		}
 		recv2 := alltoallx.Alloc(n * block)
-		if err := alltoallx.AllgatherBruck(c, send, recv2, block); err != nil {
+		if err := bruck.Allgather(send, recv2, block); err != nil {
 			return err
 		}
 		for r := 0; r < n; r++ {
@@ -132,7 +146,11 @@ func TestPublicFlatCollectives(t *testing.T) {
 			binary.LittleEndian.PutUint64(rs.Bytes()[d*block:], uint64(int64(c.Rank()+d)))
 		}
 		out := alltoallx.Alloc(block)
-		if err := alltoallx.ReduceScatterPairwise(c, rs, out, block, alltoallx.SumInt64); err != nil {
+		pairwise, err := alltoallx.NewReduceScatter("pairwise", c, alltoallx.Options{})
+		if err != nil {
+			return err
+		}
+		if err := pairwise.ReduceScatter(rs, out, block, alltoallx.SumInt64); err != nil {
 			return err
 		}
 		want := int64(0)
@@ -302,19 +320,18 @@ func TestPublicCollectiveRegistries(t *testing.T) {
 	}
 }
 
-// TestDisplsFromCountsAlias: the renamed helper and its deprecated alias
-// agree.
-func TestDisplsFromCountsAlias(t *testing.T) {
+// TestDisplsFromCounts: displacements are the exclusive prefix sum of
+// the counts, and the total is their sum.
+func TestDisplsFromCounts(t *testing.T) {
 	t.Parallel()
-	counts := []int{3, 0, 5, 2}
-	d1, t1 := alltoallx.DisplsFromCounts(counts)
-	d2, t2 := alltoallx.AlltoallvCounts(counts)
-	if t1 != t2 || t1 != 10 {
-		t.Fatalf("totals differ: %d vs %d", t1, t2)
+	displs, total := alltoallx.DisplsFromCounts([]int{3, 0, 5, 2})
+	want := []int{0, 3, 3, 8}
+	if total != 10 {
+		t.Fatalf("total = %d, want 10", total)
 	}
-	for i := range d1 {
-		if d1[i] != d2[i] {
-			t.Fatalf("displs differ at %d: %v vs %v", i, d1, d2)
+	for i := range want {
+		if displs[i] != want[i] {
+			t.Fatalf("displs = %v, want %v", displs, want)
 		}
 	}
 }

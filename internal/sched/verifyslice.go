@@ -57,12 +57,12 @@ func VerifyRank(rp *RankProgram) error {
 // identity is not locally derivable.
 const unknown int64 = -2
 
-// localValues names slot contents as far as one slice can know them.
-// Known values are collective-specific: for the routing collectives, the
-// local send-space offset the data originated at (the self block or
-// blocks — the only content a slice can name); for the reductions,
-// blk<<1|1 — a partial of result block blk containing this rank's own
-// contribution. Everything received is unknown.
+// localValues names slot contents as far as one slice can know them: a
+// known value is the send-space offset b the data originated at. For the
+// routing collectives that is the block sent from offset b (only the
+// self block or blocks can land locally); for the reductions, a partial
+// of result block b carrying this rank's own contribution. Everything
+// received is unknown.
 type localValues struct {
 	reduction bool
 	// selfRowOff/selfColOff/selfCount locate the self message in the
@@ -74,7 +74,8 @@ type localValues struct {
 }
 
 // combine keeps whichever operand is known (the combined partial carries
-// its block); two known operands both carry this rank's contribution.
+// its block); two known operands would both carry this rank's
+// contribution.
 func (lv *localValues) combine(rank int, src, dst int64) (val int64, srcBlk, dstBlk, twice int) {
 	val, twice = src, -1
 	switch {
@@ -90,7 +91,7 @@ func (lv *localValues) resultBlock(val int64) int {
 	if val < 0 {
 		return -1
 	}
-	return int(val >> 1)
+	return int(val)
 }
 
 // checkRecv checks a locally known routed block lands where this rank's
@@ -311,14 +312,10 @@ func (sv *StreamVerifier) walk(rp *RankProgram) error {
 	if coll == CollAlltoallv {
 		lv.selfRowOff, lv.selfColOff, lv.selfCount = sumCounts(rp.VSend[:r]), sumCounts(rp.VRecv[:r]), rp.VSend[r]
 	}
-	// The send buffer is read-only and pre-filled. Routing: slot b holds
-	// the block this rank sends from offset b. Reduction: slot b holds
-	// this rank's own contribution to result block b.
+	// The send buffer is read-only and pre-filled: slot b holds the
+	// known value b.
 	for b := 0; b < w.sendSize; b++ {
 		w.slots[b].val = int64(b)
-		if w.reduction {
-			w.slots[b].val = int64(b)<<1 | 1
-		}
 	}
 
 	for ri, steps := range rp.Rounds {

@@ -62,9 +62,9 @@ type values interface {
 }
 
 // rankWalk is one rank's symbolic machine and the per-round walk over
-// its steps. The send and recv spaces are dense; scratch is dense when
-// scratchOff is set (the full verifier) and sparse otherwise, so a slice
-// pays only for the scratch slots it touches.
+// its steps. The send and recv spaces are dense; scratch is dense too in
+// the full verifier and sparse in a slice, which pays only for the
+// scratch slots it touches.
 type rankWalk struct {
 	rank, p   int
 	coll      Coll
@@ -76,10 +76,13 @@ type rankWalk struct {
 
 	sendSize, recvSize int
 	scratch            []int
-	scratchOff         []int
-	slots              []slot
-	sparse             map[int64]*slot
-	arena              []slot
+	// dense reports a dense scratch layout; base[buf] is the index in
+	// slots of space buf's first slot, for every dense space.
+	dense  bool
+	base   []int
+	slots  []slot
+	sparse map[int64]*slot
+	arena  []slot
 	// recvCount counts the writes into each recv slot: each must end at
 	// exactly 1.
 	recvCount []uint8
@@ -95,17 +98,14 @@ type rankWalk struct {
 // and recv blocks, reusing earlier allocations, and resets every slot
 // and stamp. Scratch is dense when dense is set.
 func (w *rankWalk) layout(send, recv int, scratch []int, dense bool) {
-	w.sendSize, w.recvSize, w.scratch = send, recv, scratch
+	w.sendSize, w.recvSize, w.scratch, w.dense = send, recv, scratch, dense
+	w.base = append(w.base[:0], 0, send)
 	total := send + recv
-	w.scratchOff = nil
 	if dense {
-		w.scratchOff = make([]int, len(scratch))
-		off := 0
-		for i, sz := range scratch {
-			w.scratchOff[i] = off
-			off += sz
+		for _, sz := range scratch {
+			w.base = append(w.base, total)
+			total += sz
 		}
-		total += off
 	} else if w.sparse == nil {
 		w.sparse = make(map[int64]*slot)
 	} else {
@@ -132,23 +132,16 @@ func resize[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// flat is a slot's index in the dense part of the layout.
-func (w *rankWalk) flat(buf, off int) int {
-	switch buf {
-	case SpaceSend:
-		return off
-	case SpaceRecv:
-		return w.sendSize + off
-	}
-	return w.sendSize + w.recvSize + w.scratchOff[buf-SpaceScratch] + off
-}
-
 // at returns the slot at a validated position, creating a sparse scratch
 // slot on first touch.
 func (w *rankWalk) at(buf, off int) *slot {
-	if buf < SpaceScratch || w.scratchOff != nil {
-		return &w.slots[w.flat(buf, off)]
+	if buf < len(w.base) {
+		return &w.slots[w.base[buf]+off]
 	}
+	return w.sparseAt(buf, off)
+}
+
+func (w *rankWalk) sparseAt(buf, off int) *slot {
 	key := int64(buf)<<40 | int64(off)
 	if s, ok := w.sparse[key]; ok {
 		return s
@@ -164,11 +157,11 @@ func (w *rankWalk) at(buf, off int) *slot {
 	return s
 }
 
-// slotName is the number an error reports for a slot: its flat index in
-// a dense layout, its offset within its space otherwise.
+// slotName is the number an error reports for a slot: its index in
+// slots in a dense layout, its offset within its space otherwise.
 func (w *rankWalk) slotName(buf, off int) int {
-	if w.scratchOff != nil {
-		return w.flat(buf, off)
+	if w.dense {
+		return w.base[buf] + off
 	}
 	return off
 }

@@ -5,6 +5,14 @@
 // under a central event loop, so all shared simulator state is mutated
 // race-free and every run is reproducible given a seed.
 //
+// The message path allocates nothing per message once a run is warm. An
+// event carries a small handler rather than a closure: a parked process
+// (*Proc, whose pending wake time and WaitAll state live on the Proc), or
+// an in-flight message (*flight, network.go) whose next stage the event
+// books. Flights and requests are carved from per-Network slabs; a
+// finished flight goes back on the Network's free list and keeps its hop
+// slice for the next message.
+//
 // Causal ordering invariant: before touching any shared resource (NIC
 // ports, memory buses, mailboxes), a process synchronizes with the global
 // virtual clock (Proc.Sync), guaranteeing resource reservations happen in
@@ -20,12 +28,24 @@ import (
 	"strings"
 )
 
-// event is a scheduled callback. seq breaks time ties deterministically in
+// handler is what an event runs when it fires: a parked process to resume
+// (*Proc), an in-flight message's next stage (*flight), or a plain
+// callback (eventFunc). Each is pointer-shaped, so queuing one allocates
+// nothing, and the interface keeps an event at 32 bytes: the heap's sift
+// loops slow down markedly with a larger event.
+type handler interface{ fire() }
+
+// eventFunc adapts a callback to a handler (At; off the message path).
+type eventFunc func()
+
+func (f eventFunc) fire() { f() }
+
+// event is a scheduled handler. seq breaks time ties deterministically in
 // scheduling order.
 type event struct {
 	t   float64
 	seq uint64
-	fn  func()
+	h   handler
 }
 
 // eventHeap is a binary min-heap ordered by (t, seq). It is hand-rolled
@@ -51,7 +71,7 @@ func (h *eventHeap) pop() event {
 	top := old[0]
 	n := len(old) - 1
 	old[0] = old[n]
-	old[n] = event{} // release fn for GC
+	old[n] = event{} // release the handler for GC
 	*h = old[:n]
 	i := 0
 	for {
@@ -104,12 +124,16 @@ func (e *Engine) EventsProcessed() uint64 { return e.nEvent }
 
 // At schedules fn at virtual time t (clamped to now: the past cannot be
 // scheduled).
-func (e *Engine) At(t float64, fn func()) {
+func (e *Engine) At(t float64, fn func()) { e.schedule(t, eventFunc(fn)) }
+
+// schedule queues h at virtual time t, clamped to now. A handler that
+// needs its unclamped time (a wake, a message stage) keeps it itself.
+func (e *Engine) schedule(t float64, h handler) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	e.events.push(event{t: t, seq: e.seq, fn: fn})
+	e.events.push(event{t: t, seq: e.seq, h: h})
 }
 
 // errStopped marks a process unwound because the engine shut down while it
@@ -122,6 +146,10 @@ var errStopped = errors.New("sim: process stopped while parked")
 // handoffs cost a coroutine switch, not a goroutine wakeup — the
 // difference between minutes and hours when simulating tens of millions of
 // messages.
+//
+// A Proc is its own wake handler: at most one wake is pending at a time,
+// and its requested time is kept in wakeAt, so parking allocates nothing.
+// The state of the WaitAll it is parked in (waiter) lives here too.
 type Proc struct {
 	// ID is the process index (the world rank, for rank processes).
 	ID int
@@ -136,6 +164,10 @@ type Proc struct {
 	done       bool
 	err        error
 	waitReason string
+
+	waking bool    // a wake event is queued
+	wakeAt float64 // its requested (unclamped) time
+	wait   waiter  // the WaitAll this process is parked in
 }
 
 // Spawn registers a process whose body starts at virtual time 0. Must be
@@ -161,7 +193,7 @@ func (e *Engine) Spawn(id int, body func(p *Proc) error) *Proc {
 		}
 	}
 	p.next, p.stop = iter.Pull(iter.Seq[struct{}](seq))
-	e.At(0, func() { e.transfer(p) })
+	e.WakeAt(p, 0)
 	return p
 }
 
@@ -196,7 +228,7 @@ func (e *Engine) Run() error {
 		ev := e.events.pop()
 		e.now = ev.t
 		e.nEvent++
-		ev.fn()
+		ev.h.fire()
 		if e.failed != nil {
 			return e.failed
 		}
@@ -266,17 +298,30 @@ func (p *Proc) park(reason string) {
 	p.waitReason = ""
 }
 
-// WakeAt schedules p to resume at virtual time t, advancing its clock to at
-// least t. The caller must ensure p is (or will be) parked; waking an
-// unparked process is a programming error caught by the engine's
-// single-runner design (transfer blocks until the previous park).
+// WakeAt schedules p to resume at virtual time t, advancing its clock to
+// max(p's clock, t). The event runs at t clamped to the engine's present,
+// but the clock advance uses the requested t: a wake asked for in the past
+// does not drag p forward to the present. The caller must ensure p is (or
+// will be) parked. A process has one wake slot, so asking for a second
+// wake while one is pending is a programming error: it fails the engine.
 func (e *Engine) WakeAt(p *Proc, t float64) {
-	e.At(t, func() {
-		if p.now < t {
-			p.now = t
-		}
-		e.transfer(p)
-	})
+	if p.waking {
+		e.Fail(fmt.Errorf("sim: proc %d woken for t=%.9fs while its wake for t=%.9fs is pending", p.ID, t, p.wakeAt))
+		return
+	}
+	p.waking = true
+	p.wakeAt = t
+	e.schedule(t, p)
+}
+
+// fire is p's wake event: advance the clock to the requested time and
+// resume the process.
+func (p *Proc) fire() {
+	p.waking = false
+	if p.now < p.wakeAt {
+		p.now = p.wakeAt
+	}
+	p.e.transfer(p)
 }
 
 // Sync parks until global virtual time catches up with the local clock, so

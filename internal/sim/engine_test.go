@@ -179,6 +179,52 @@ func TestWakeAtAdvancesClock(t *testing.T) {
 	}
 }
 
+// TestWakeAtPastKeepsRequestedTime pins the wake-time rule: a wake asked
+// for in the engine's past runs at the present, but moves the process's
+// clock only to max(its clock, the requested time).
+func TestWakeAtPastKeepsRequestedTime(t *testing.T) {
+	t.Parallel()
+	e := NewEngine()
+	type seen struct{ proc, engine float64 }
+	var got []seen
+	p := e.Spawn(0, func(p *Proc) error {
+		p.Advance(3)
+		p.Park("first wake")
+		got = append(got, seen{p.Now(), e.Now()})
+		p.Park("second wake")
+		got = append(got, seen{p.Now(), e.Now()})
+		return nil
+	})
+	e.At(5, func() { e.WakeAt(p, 1) }) // behind the proc's clock: stays at 3
+	e.At(6, func() { e.WakeAt(p, 4) }) // ahead of it, behind the engine's: 4
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []seen{{3, 5}, {4, 6}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("(proc, engine) times at wake = %v, want %v", got, want)
+	}
+}
+
+// TestSecondPendingWakeFails: a process has one wake slot, so a second
+// wake while the first is queued must fail the run, not be dropped.
+func TestSecondPendingWakeFails(t *testing.T) {
+	t.Parallel()
+	e := NewEngine()
+	p := e.Spawn(7, func(p *Proc) error {
+		p.Park("test wake")
+		return nil
+	})
+	e.At(1, func() {
+		e.WakeAt(p, 2)
+		e.WakeAt(p, 3)
+	})
+	err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), "proc 7 woken") || !strings.Contains(err.Error(), "pending") {
+		t.Fatalf("double wake: err = %v, want a pending-wake failure", err)
+	}
+}
+
 func TestAtClampsPast(t *testing.T) {
 	t.Parallel()
 	e := NewEngine()

@@ -82,6 +82,10 @@ type Network struct {
 
 	rng      *rand.Rand
 	msgsSent uint64
+
+	freeFlights []*flight // finished flights, reused with their hop slices
+	flightSlab  []flight  // the unused tail of the current flight slab
+	reqSlab     []simReq  // the unused tail of the current request slab
 }
 
 // NewNetwork builds the fabric for a mapping under the given model. seed
@@ -224,67 +228,165 @@ func (n *Network) path(src, dst int, hops []hop) ([]hop, topo.Level) {
 	return hops, level
 }
 
-// transfer books a message of the given size from ready time, stage by
-// stage. The first stage is reserved immediately (ready is the caller's
-// current virtual time); every subsequent stage is reserved by an event
-// fired when the payload clears the previous stage. Booking stages at
-// their actual start times is essential: reserving future slots up front
-// would let one far-future booking push a scalar FIFO's nextFree forward
-// and leave the resource idle for every later (but earlier-in-time)
-// booking — a head-of-line artifact, not network physics.
+// flight is one message in transit through its path's stages: the
+// record a stage event fires, standing in for per-message closures. It
+// is taken from the Network's free list when the transfer is set up and
+// returned as soon as the payload has arrived, keeping its hop slice for
+// the next message's path.
+type flight struct {
+	n    *Network
+	hops []hop
+	// next and t are the stage the pending event books and its requested
+	// (unclamped) time.
+	next int
+	t    float64
+
+	bytes int
+	tag   int
+	lat   float64 // wire latency added after the last stage
+	// srcNode drives the NIC interleaving penalty, which tracks the
+	// source *node*: a port drained by long same-source runs (node-aware
+	// aggregation, aligned pairwise steps) streams at full rate, while
+	// fine-grained exchanges that mix flows from many nodes pay the
+	// congestion/reordering cost.
+	srcNode int
+
+	// Eager arrival: deliver into dst's mailbox.
+	dst     int
+	env     envelope
+	payload []byte
+
+	// Rendezvous: the sender's request completes when the first stage
+	// clears, the receive when the payload arrives.
+	rdv              bool
+	sendReq, recvReq *simReq
+	sendBuf, recvBuf comm.Buffer
+}
+
+// flightSlabSize is how many flights one slab allocation carves, and
+// slabHops the hop capacity each starts with: enough for every analytic
+// path (fabric routes grow their flight's slice once).
+const (
+	flightSlabSize = 64
+	slabHops       = 4
+)
+
+// newFlight takes a flight off the free list (or carves one from the
+// slab) for a message of the given size from src to dst world ranks,
+// with its path filled in. tag attributes fabric-link congestion to the
+// message's round (sched executor tagging).
+func (n *Network) newFlight(src, dst, bytes, tag int) *flight {
+	var f *flight
+	if k := len(n.freeFlights); k > 0 {
+		f = n.freeFlights[k-1]
+		n.freeFlights = n.freeFlights[:k-1]
+	} else {
+		if len(n.flightSlab) == 0 {
+			n.flightSlab = make([]flight, flightSlabSize)
+			hops := make([]hop, flightSlabSize*slabHops)
+			for i := range n.flightSlab {
+				n.flightSlab[i] = flight{n: n, hops: hops[i*slabHops : i*slabHops : (i+1)*slabHops]}
+			}
+		}
+		f = &n.flightSlab[0]
+		n.flightSlab = n.flightSlab[1:]
+	}
+	hops, level := n.path(src, dst, f.hops)
+	f.hops, f.lat, f.srcNode = hops, n.p.Latency(level), n.mapping.NodeOf(src)
+	f.dst, f.bytes, f.tag = dst, bytes, tag
+	return f
+}
+
+// release returns f to the free list, dropping its references to
+// payloads, buffers and requests.
+func (n *Network) release(f *flight) {
+	*f = flight{n: n, hops: f.hops[:0]}
+	n.freeFlights = append(n.freeFlights, f)
+}
+
+// fire is a flight's stage event.
+func (f *flight) fire() { f.stage(f.next, f.t) }
+
+// at queues the flight's stage i at virtual time t.
+func (f *flight) at(i int, t float64) {
+	f.next, f.t = i, t
+	f.n.e.schedule(t, f)
+}
+
+// stage books the flight's hops from i on, starting at time t; stage 0
+// starts the transfer and counts the message. The first stage is
+// reserved immediately (t is the caller's current virtual time); every
+// subsequent stage is reserved by an event fired when the payload clears
+// the previous stage. Booking stages at their actual start times is
+// essential: reserving future slots up front would let one far-future
+// booking push a scalar FIFO's nextFree forward and leave the resource
+// idle for every later (but earlier-in-time) booking — a head-of-line
+// artifact, not network physics.
 //
-// onSendDone, if non-nil, fires when the first (source-side) stage is
-// clear — the rendezvous sender's buffer lifetime. onArrival fires when
-// the payload has fully arrived (last stage plus wire latency). src
-// identifies the sender for the NIC interleaving penalty; tag attributes
-// fabric-link congestion to the message's round (sched executor tagging).
-func (n *Network) transfer(ready float64, bytes, src, tag int, hops []hop, level topo.Level,
-	onSendDone, onArrival func(t float64)) {
-	n.msgsSent++
-	lat := n.p.Latency(level)
-	// The interleaving penalty tracks the source *node*: a port drained by
-	// long same-source runs (node-aware aggregation, aligned pairwise
-	// steps) streams at full rate, while fine-grained exchanges that mix
-	// flows from many nodes pay the congestion/reordering cost.
-	srcNode := n.mapping.NodeOf(src)
-	var step func(i int, t float64)
-	step = func(i int, t float64) {
-		h := hops[i]
+// A rendezvous flight's send request completes when the first
+// (source-side) stage is clear — the sender's buffer lifetime. The
+// flight arrives when the payload has fully arrived (last stage plus
+// wire latency).
+func (f *flight) stage(i int, t float64) {
+	n := f.n
+	if i == 0 {
+		n.msgsSent++
+	}
+	for {
+		h := &f.hops[i]
 		if h.link != nil {
 			// Cut-through fabric link: the head moves on the moment the
 			// link starts serving it (zero added time when uncontended —
 			// the NIC ports stay the serialization points), while the
 			// link stays occupied for the payload's full serialization,
 			// which is what queues and backpressures later flows.
-			start, blocked, queued := h.link.admit(t, bytes)
-			n.flow.note(tag, bytes, blocked, queued)
+			start, blocked, queued := h.link.admit(t, f.bytes)
+			n.flow.note(f.tag, f.bytes, blocked, queued)
+			i++
 			if start > t {
-				n.e.At(start, func() { step(i+1, start) })
-			} else {
-				step(i+1, t)
+				f.at(i, start)
+				return
 			}
-			return
+			continue
 		}
 		dur := h.perMsg
-		if bytes > 0 {
-			d := float64(bytes) / h.rate
-			if h.interleave > 0 && h.res.lastUser != srcNode {
+		if f.bytes > 0 {
+			d := float64(f.bytes) / h.rate
+			if h.interleave > 0 && h.res.lastUser != f.srcNode {
 				d *= 1 + h.interleave
 			}
 			dur += d
 		}
-		h.res.lastUser = srcNode
+		h.res.lastUser = f.srcNode
 		finish := h.res.reserve(t, dur, n.debugReserve)
-		if i == 0 && onSendDone != nil {
-			onSendDone(finish)
+		if i == 0 && f.rdv {
+			n.determine(f.sendReq, finish, nil)
 		}
-		if i == len(hops)-1 {
-			onArrival(finish + lat)
+		if i == len(f.hops)-1 {
+			f.arrive(finish + f.lat)
 			return
 		}
-		n.e.At(finish, func() { step(i+1, finish) })
+		f.at(i+1, finish)
+		return
 	}
-	step(0, ready)
+}
+
+// arrive completes the flight at the payload's arrival time and recycles
+// it.
+func (f *flight) arrive(arrival float64) {
+	n := f.n
+	if !f.rdv {
+		dst, env, bytes, payload := f.dst, f.env, f.bytes, f.payload
+		n.release(f)
+		n.deliverEager(dst, env, bytes, payload, arrival)
+		return
+	}
+	if !f.sendBuf.IsVirtual() && !f.recvBuf.IsVirtual() && f.bytes > 0 {
+		copy(f.recvBuf.Bytes(), f.sendBuf.Bytes()[:f.bytes])
+	}
+	req := f.recvReq
+	n.release(f)
+	n.determine(req, arrival, nil)
 }
 
 // envelope identifies a message for matching.
@@ -301,16 +403,32 @@ type simReq struct {
 	determined bool
 	t          float64
 	err        error
-	w          *waiter
+	waiter     *Proc // the process parked in WaitAll on this request
 }
 
 // Pending reports whether the request's completion is not yet determined.
 func (r *simReq) Pending() bool { return !r.determined }
 
+// waiter is a process's WaitAll state (Proc.wait): how many of its
+// requests are still undetermined, and the latest completion so far.
 type waiter struct {
-	p         *Proc
 	remaining int
 	tMax      float64
+}
+
+// reqSlabSize is how many requests one slab allocation carves.
+const reqSlabSize = 256
+
+// newReq carves a zeroed request from the Network's slab. A request is
+// never reused: callers may hold it past completion, and a slab is freed
+// once every request carved from it is unreachable.
+func (n *Network) newReq() *simReq {
+	if len(n.reqSlab) == 0 {
+		n.reqSlab = make([]simReq, reqSlabSize)
+	}
+	r := &n.reqSlab[0]
+	n.reqSlab = n.reqSlab[1:]
+	return r
 }
 
 func (n *Network) determine(r *simReq, t float64, err error) {
@@ -321,14 +439,15 @@ func (n *Network) determine(r *simReq, t float64, err error) {
 	r.determined = true
 	r.t = t
 	r.err = err
-	if w := r.w; w != nil {
-		r.w = nil
+	if p := r.waiter; p != nil {
+		r.waiter = nil
+		w := &p.wait
 		w.remaining--
 		if t > w.tMax {
 			w.tMax = t
 		}
 		if w.remaining == 0 {
-			n.e.WakeAt(w.p, w.tMax)
+			n.e.WakeAt(p, w.tMax)
 		}
 	}
 }
@@ -379,7 +498,7 @@ func (n *Network) Isend(p *Proc, srcW, dstW int, ctx int64, srcRank, tag int, b 
 // park instead of two matters at tens of millions of messages).
 func (n *Network) isend(p *Proc, srcW, dstW int, ctx int64, srcRank, tag int, b comm.Buffer) *simReq {
 	p.Advance(n.overhead(n.p.SendOverhead))
-	req := &simReq{}
+	req := n.newReq()
 	if b.Len() <= n.p.EagerMax {
 		// Eager: the sender copies the payload into a bounce buffer and is
 		// free as soon as that local copy finishes — it does NOT wait for
@@ -391,13 +510,12 @@ func (n *Network) isend(p *Proc, srcW, dstW int, ctx int64, srcRank, tag int, b 
 			payload = make([]byte, b.Len())
 			copy(payload, b.Bytes())
 		}
-		env := envelope{ctx: ctx, src: srcRank, tag: tag}
 		length := b.Len()
-		hops, level := n.path(srcW, dstW, nil)
+		f := n.newFlight(srcW, dstW, length, tag)
+		f.env = envelope{ctx: ctx, src: srcRank, tag: tag}
+		f.payload = payload
 		n.determine(req, p.now+n.copyTime(length), nil)
-		n.transfer(p.now, length, srcW, tag, hops, level, nil, func(arrival float64) {
-			n.deliverEager(dstW, env, length, payload, arrival)
-		})
+		f.stage(0, p.now)
 		return req
 	}
 	// Rendezvous: an RTS races ahead; the transfer is scheduled when the
@@ -442,7 +560,7 @@ func (n *Network) irecv(p *Proc, dstW int, ctx int64, srcRank, tag int, b comm.B
 		scanned = idx + 1
 	}
 	p.Advance(n.overhead(n.p.RecvOverhead + n.p.MatchCost*float64(scanned)))
-	req := &simReq{}
+	req := n.newReq()
 	if idx >= 0 {
 		msg := takeUnexpected(box, idx)
 		n.completeMatch(msg, simPosted{env: env, buf: b, req: req, tReady: p.now, world: dstW})
@@ -511,17 +629,11 @@ func (n *Network) beginRendezvous(msg simMsg, post simPosted) {
 	if msg.senderReady > tStart {
 		tStart = msg.senderReady
 	}
-	n.e.At(tStart, func() {
-		hops, lvl := n.path(msg.srcWorld, msg.dstWorld, nil)
-		n.transfer(tStart, msg.bytes, msg.srcWorld, msg.env.tag, hops, lvl,
-			func(sendDone float64) { n.determine(msg.sendReq, sendDone, nil) },
-			func(arrival float64) {
-				if !msg.sendBuf.IsVirtual() && !post.buf.IsVirtual() && msg.bytes > 0 {
-					copy(post.buf.Bytes(), msg.sendBuf.Bytes()[:msg.bytes])
-				}
-				n.determine(post.req, arrival, nil)
-			})
-	})
+	f := n.newFlight(msg.srcWorld, msg.dstWorld, msg.bytes, msg.env.tag)
+	f.rdv = true
+	f.sendReq, f.recvReq = msg.sendReq, post.req
+	f.sendBuf, f.recvBuf = msg.sendBuf, post.buf
+	f.at(0, tStart)
 }
 
 // Sendrecv posts the receive and performs the send under a single global-
@@ -551,10 +663,10 @@ func (n *Network) WaitAll(p *Proc, reqs []*simReq) error {
 		}
 	}
 	if pending > 0 {
-		w := &waiter{p: p, remaining: pending, tMax: tMax}
+		p.wait = waiter{remaining: pending, tMax: tMax}
 		for _, r := range reqs {
 			if r != nil && !r.determined {
-				r.w = w
+				r.waiter = p
 			}
 		}
 		p.Park("waitall")

@@ -20,6 +20,7 @@ type SimComm struct {
 	ranks    []int // comm rank -> world rank
 	isWorld  bool
 	splitSeq int
+	reqs     []*simReq // WaitAll's request list, reused across calls
 }
 
 var (
@@ -223,7 +224,7 @@ func (c *SimComm) Wait(r comm.Request) error {
 
 // WaitAll blocks until all requests complete.
 func (c *SimComm) WaitAll(rs []comm.Request) error {
-	srs := make([]*simReq, 0, len(rs))
+	srs := c.reqs[:0]
 	for _, r := range rs {
 		if r == nil {
 			continue
@@ -234,6 +235,7 @@ func (c *SimComm) WaitAll(rs []comm.Request) error {
 		}
 		srs = append(srs, sr)
 	}
+	c.reqs = srs
 	return c.cl.net.WaitAll(c.p, srs)
 }
 

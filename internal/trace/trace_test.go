@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"maps"
 	"testing"
 )
 
@@ -33,6 +34,38 @@ func TestRecorderAccumulates(t *testing.T) {
 	r.Reset()
 	if r.Get(PhaseGather) != 0 {
 		t.Error("reset did not clear")
+	}
+}
+
+// TestRecorderSnapshotExact: slot agrees with declared, and Snapshot
+// holds exactly the phases recorded since Reset, declared or not,
+// including ones that accrued zero time.
+func TestRecorderSnapshotExact(t *testing.T) {
+	t.Parallel()
+	for i, p := range declared {
+		if slot(p) != i {
+			t.Fatalf("slot(%q) = %d, want %d", p, slot(p), i)
+		}
+	}
+	r := NewRecorder(func() float64 { return 0 })
+	custom := Phase("custom")
+	r.Add(PhaseReduce, 0)
+	r.Add(custom, 0.5)
+	r.Add(PhaseTotal, 2)
+	want := map[Phase]float64{PhaseReduce: 0, custom: 0.5, PhaseTotal: 2}
+	if got := r.Snapshot(); !maps.Equal(got, want) {
+		t.Errorf("snapshot = %v, want %v", got, want)
+	}
+	if r.Get(custom) != 0.5 || r.Get(PhaseTotal) != 2 || r.Get(PhaseGather) != 0 {
+		t.Errorf("Get: custom %g, total %g, gather %g", r.Get(custom), r.Get(PhaseTotal), r.Get(PhaseGather))
+	}
+	r.Reset()
+	if got := r.Snapshot(); len(got) != 0 || r.Get(custom) != 0 {
+		t.Errorf("after Reset: snapshot %v, custom %g", got, r.Get(custom))
+	}
+	r.Add(PhaseInter, 1)
+	if got := r.Snapshot(); !maps.Equal(got, map[Phase]float64{PhaseInter: 1}) {
+		t.Errorf("after Reset and Add: snapshot = %v", got)
 	}
 }
 

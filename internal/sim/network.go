@@ -230,9 +230,9 @@ func (n *Network) path(src, dst int, hops []hop) ([]hop, topo.Level) {
 
 // flight is one message in transit through its path's stages: the
 // record a stage event fires, standing in for per-message closures. It
-// is taken from the Network's free list when the transfer is set up and
-// returned as soon as the payload has arrived, keeping its hop slice for
-// the next message's path.
+// is taken from the Network's free list (or slab) when the transfer is
+// set up and returned as soon as the payload has arrived, keeping its hop
+// slice for the next message's path.
 type flight struct {
 	n    *Network
 	hops []hop
